@@ -1,0 +1,11 @@
+"""Put the repository root (for ``ledger``) and ``src`` (for ``repro``)
+on the import path, so ``python -m pytest ledger/tests`` runs from the
+repository root."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for entry in (ROOT / "src", ROOT):
+    if str(entry) not in sys.path:
+        sys.path.insert(0, str(entry))
