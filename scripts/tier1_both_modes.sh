@@ -1,15 +1,9 @@
 #!/usr/bin/env sh
-# Tier-1 verify, four times: the full 2x2 matrix of
-#
-#   REPRO_NO_NUMPY        x  REPRO_NO_INTERCHANGE
-#   (typed column kernels)   (typed-buffer interchange)
-#
-# Both layers are caches/codecs over authoritative list-and-dict
-# state, never authorities themselves — the kernel layer in
-# src/repro/colkernels.py accelerates column scans, the interchange
-# layer in src/repro/interchange.py batches replication, telemetry
-# and scorecard shipping — so no answer may depend on which cell of
-# the matrix is active.  All four runs must be green.
+# Tier-1 verify, twice: once with numpy visible (the typed column
+# kernels take their vector lanes) and once with REPRO_NO_NUMPY=1 (the
+# pure-stdlib array fallback).  Both runs must be green — the kernel
+# layer in src/repro/colkernels.py is a cache over the list columns,
+# never an authority, so no answer may depend on which mode is active.
 #
 # Usage: scripts/tier1_both_modes.sh [extra pytest args...]
 #   e.g. scripts/tier1_both_modes.sh -m columnar
@@ -18,16 +12,10 @@ set -eu
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== tier-1 (numpy kernels, interchange on) =="
+echo "== tier-1 (numpy mode) =="
 python -m pytest -x -q "$@"
 
-echo "== tier-1 (stdlib kernels: REPRO_NO_NUMPY=1, interchange on) =="
+echo "== tier-1 (forced stdlib fallback: REPRO_NO_NUMPY=1) =="
 REPRO_NO_NUMPY=1 python -m pytest -x -q "$@"
 
-echo "== tier-1 (numpy kernels, interchange off: REPRO_NO_INTERCHANGE=1) =="
-REPRO_NO_INTERCHANGE=1 python -m pytest -x -q "$@"
-
-echo "== tier-1 (stdlib kernels + interchange off) =="
-REPRO_NO_NUMPY=1 REPRO_NO_INTERCHANGE=1 python -m pytest -x -q "$@"
-
-echo "== tier-1 green in all four kernel/interchange modes =="
+echo "== tier-1 green in both kernel modes =="

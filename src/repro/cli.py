@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="single-shard vs sharded-gateway throughput comparison "
              "(beyond the paper)",
     )
-    cluster_bench.add_argument("--shards", type=int, default=4)
+    cluster_bench.add_argument("--shards", type=_positive_int, default=4)
     cluster_bench.add_argument("--count", type=int, default=600)
     cluster_bench.add_argument("--preload", type=int, default=400)
     cluster_bench.add_argument("--seed", type=int, default=23)
@@ -190,14 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
              "on a missed floor",
     )
     cluster_bench.add_argument(
-        "--interchange", action="store_true",
-        help="run the typed-buffer interchange bench (raw-buffer column "
-             "codec vs tagged JSON, batched replication catch-up vs the "
-             "per-op framed apply, the encoded scorecard reduce, and "
-             "the same-seed storm byte-identity oracle with the gate "
-             "on and off); exit 1 on a missed floor",
-    )
-    cluster_bench.add_argument(
         "--backend", default="file", choices=["file", "sqlite"],
         help="with --durability: the durable backend to measure "
              "(default: file — the append-only WAL plus snapshots)",
@@ -210,11 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_bench.add_argument(
         "--json", metavar="PATH", default=None,
         help="with --hotpath, --validate, --dqtelemetry, --durability, "
-             "--columnar or --interchange: also write the "
+             "--replication or --columnar: also write the "
              "machine-readable report (e.g. BENCH_hotpath.json / "
              "BENCH_validate.json / BENCH_dqtelemetry.json / "
-             "BENCH_durability.json / BENCH_columnar.json / "
-             "BENCH_interchange.json)",
+             "BENCH_durability.json / BENCH_replication.json / "
+             "BENCH_columnar.json)",
     )
 
     chaos = commands.add_parser(
@@ -223,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
              "gateway, with a DQ-guarantee verdict (beyond the paper)",
     )
     chaos.add_argument("--seed", type=int, default=11)
-    chaos.add_argument("--shards", type=int, default=4)
+    chaos.add_argument("--shards", type=_positive_int, default=4)
     chaos.add_argument("--count", type=int, default=400)
     chaos.add_argument("--preload", type=int, default=32)
     chaos.add_argument("--threads", type=int, default=1)
@@ -283,10 +275,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type`` for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}"
+        )
+    return value
+
+
+class _BadInput(Exception):
+    """Bad command-line input that only shows after parsing; ``main``
+    reports it the way argparse reports a parse error."""
+
+
 def _load_model(path: str):
-    if path.endswith(".xmi") or path.endswith(".xml"):
-        return xmi.load(path, global_registry)
-    return jsonio.load(path, global_registry)
+    try:
+        if path.endswith(".xmi") or path.endswith(".xml"):
+            return xmi.load(path, global_registry)
+        return jsonio.load(path, global_registry)
+    except OSError as exc:
+        raise _BadInput(
+            f"cannot read model {path!r}: {exc.strerror or exc}"
+        ) from None
 
 
 def _command_tables(args, out) -> int:
@@ -439,20 +454,11 @@ def _command_cluster_bench(args, out) -> int:
         run_dqtelemetry_bench,
         run_durability_bench,
         run_hotpath_bench,
-        run_interchange_bench,
         run_replication_bench,
         run_smoke,
         run_validation_bench,
     )
 
-    if args.interchange:
-        interchange = run_interchange_bench(
-            seed=args.seed, json_path=args.json,
-        )
-        print(interchange.render(), file=out)
-        if args.json:
-            print(f"wrote {args.json}", file=out)
-        return 0 if interchange.passed else 1
     if args.columnar:
         columnar = run_columnar_bench(
             seed=args.seed, json_path=args.json,
@@ -622,8 +628,12 @@ _COMMANDS = {
 
 def main(argv: Optional[list[str]] = None, out=None) -> int:
     out = out or sys.stdout
-    args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args, out)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args, out)
+    except _BadInput as exc:
+        parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":  # pragma: no cover

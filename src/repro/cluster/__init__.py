@@ -27,7 +27,6 @@ from .bench import (
     ComparisonRow,
     DQTelemetryBenchResult,
     DurabilityBenchResult,
-    InterchangeBenchResult,
     HotpathResult,
     HotpathRow,
     ReplicationBenchResult,
@@ -38,7 +37,6 @@ from .bench import (
     run_dqtelemetry_bench,
     run_durability_bench,
     run_hotpath_bench,
-    run_interchange_bench,
     run_replication_bench,
     run_smoke,
     run_validation_bench,
@@ -110,7 +108,6 @@ __all__ = [
     "DROP",
     "DUPLICATE",
     "DurabilityBenchResult",
-    "InterchangeBenchResult",
     "FAILOVER",
     "FaultInjector",
     "FaultPlan",
@@ -159,7 +156,6 @@ __all__ = [
     "run_dqtelemetry_bench",
     "run_durability_bench",
     "run_hotpath_bench",
-    "run_interchange_bench",
     "run_replication_bench",
     "run_smoke",
     "run_topology_chaos",

@@ -614,7 +614,6 @@ class SmokeResult:
     durability: Optional["DurabilityBenchResult"] = None
     replication: Optional["ReplicationBenchResult"] = None
     columnar: Optional["ColumnarBenchResult"] = None
-    interchange: Optional["InterchangeBenchResult"] = None
 
     def render(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -684,21 +683,6 @@ class SmokeResult:
                 f"{self.columnar.state_diffs} state diff(s) over "
                 f"{self.columnar.state_checks} drill(s)"
             )
-        if self.interchange is not None:
-            lines.append(
-                f"interchange floors: codec "
-                f"{self.interchange.codec_speedup:.2f}x tagged JSON "
-                f"(>= {self.interchange.min_codec_speedup:.1f}x), "
-                f"catch-up {self.interchange.catchup_speedup:.2f}x "
-                f"per-op framed "
-                f"(>= {self.interchange.min_catchup_speedup:.1f}x), "
-                f"{self.interchange.state_diffs} state diff(s) over "
-                f"{self.interchange.state_checks} check(s), "
-                f"{self.interchange.equivalence_diffs} equivalence "
-                f"diff(s), storm "
-                f"{'byte-identical' if self.interchange.storm.get('identical') else 'DIVERGED'}"
-                f" on/off"
-            )
         lines.extend(f"  floor missed: {failure}" for failure in self.failures)
         return "\n".join(lines)
 
@@ -720,9 +704,7 @@ def run_smoke(
     smoke scale — the full floors hold there too, with margin) and the
     durability floors (:func:`run_durability_bench`, at smoke scale —
     WAL write overhead, crash recovery, the post-recovery oracle and
-    one seeded kill-restart storm) and the typed-buffer interchange
-    floors (:func:`run_interchange_bench`, at smoke scale but with the
-    catch-up lag kept past the 1k-op line the acceptance names).
+    one seeded kill-restart storm).
     Wall-clock comparisons on a busy machine can flake,
     so a missed floor is retried up to ``attempts`` times and only a
     repeated miss fails."""
@@ -733,7 +715,6 @@ def run_smoke(
     durability = None
     replication = None
     columnar = None
-    interchange = None
     for attempt in range(1, attempts + 1):
         result = run_comparison(
             shard_count=shard_count, count=count, preload=preload,
@@ -787,25 +768,14 @@ def run_smoke(
             drills=False, min_absorb_speedup=1.8, min_scan_speedup=1.2,
         )
         failures.extend(columnar.floor_failures())
-        interchange = run_interchange_bench(
-            # the lag stays past the 1k-op line so the 3x catch-up
-            # floor is measured where the acceptance defines it; the
-            # other knobs shrink to smoke scale
-            lag=1_200, batches=2, batch_rows=64, column_values=4_096,
-            codec_iterations=12, shard_count=3, preload=120,
-            scorecard_reads=24, storm_count=100, seed=seed, rounds=2,
-        )
-        failures.extend(interchange.floor_failures())
         if not failures:
             return SmokeResult(
                 result, attempt, True, [], min_speedup, min_retention,
                 validation, dqtelemetry, durability, replication, columnar,
-                interchange,
             )
     return SmokeResult(
         result, attempts, False, failures, min_speedup, min_retention,
         validation, dqtelemetry, durability, replication, columnar,
-        interchange,
     )
 
 
@@ -2955,539 +2925,6 @@ def run_replication_bench(
         drill=drill,
         storm=storm,
         min_split_retention=min_split_retention,
-    )
-    if json_path is not None:
-        result.write_json(json_path)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Interchange bench: zero-copy typed-buffer batches vs the per-op paths
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class InterchangeBenchResult:
-    """Typed-buffer interchange measurements plus the zero-diff oracles.
-
-    The floors are the interchange acceptance numbers: encode+decode of
-    numeric columns at least ``min_codec_speedup`` x the tagged-JSON
-    codec, batched replication catch-up at least ``min_catchup_speedup``
-    x the per-op apply under the same codec discipline (each op
-    individually framed, decoded and applied — the non-batched
-    interchange wire) at ``lag`` acked ops of follower lag, **zero**
-    state diffs (every catch-up lane lands ``capture_state``
-    byte-identical), zero equivalence diffs (scorecard reduce and
-    telemetry shipping bit-identical with the gate on and off), and the
-    same-seed topology storm byte-identical either way.  A third
-    informational catch-up row, ``catch-up per-op in-memory``, is the
-    legacy gate-off lane that hands live dict references per op without
-    any wire at all.
-    """
-
-    seed: int
-    lag: int
-    lag_records: int
-    column_values: int
-    rows: list
-    state_checks: int
-    state_diffs: int
-    equivalence_checks: int
-    equivalence_diffs: int
-    storm: dict
-    min_codec_speedup: float = 5.0
-    min_catchup_speedup: float = 3.0
-
-    def _row(self, name: str) -> HotpathRow:
-        for row in self.rows:
-            if row.name == name:
-                return row
-        raise KeyError(name)
-
-    def _speedup(self, fast: str, slow: str) -> float:
-        base = self._row(fast).elapsed
-        return self._row(slow).elapsed / base if base else 0.0
-
-    @property
-    def codec_speedup(self) -> float:
-        """Numeric-column encode+decode, raw buffers over tagged JSON."""
-        return self._speedup("codec typed buffers", "codec tagged JSON")
-
-    @property
-    def catchup_speedup(self) -> float:
-        """Follower catch-up, batched frame over the per-op framed
-        apply (both lanes pay the codec; batching is the variable)."""
-        return self._speedup(
-            "catch-up batched frame", "catch-up per-op framed"
-        )
-
-    @property
-    def scorecard_speedup(self) -> float:
-        """Cluster scorecard, encoded reduce over locked readings
-        (informational — the hard floor lives in the dq telemetry
-        bench's rescan ratio)."""
-        return self._speedup(
-            "scorecard encoded reduce", "scorecard locked readings"
-        )
-
-    def floor_failures(self) -> list:
-        """Every missed acceptance floor, as human-readable strings."""
-        failures = []
-        if self.codec_speedup < self.min_codec_speedup:
-            failures.append(
-                f"column codec {self.codec_speedup:.2f}x < "
-                f"{self.min_codec_speedup:.1f}x tagged JSON"
-            )
-        if self.catchup_speedup < self.min_catchup_speedup:
-            failures.append(
-                f"batched catch-up {self.catchup_speedup:.2f}x < "
-                f"{self.min_catchup_speedup:.1f}x per-op framed at "
-                f"{self.lag}-op lag"
-            )
-        if self.state_diffs:
-            failures.append(
-                f"{self.state_diffs} capture_state diff(s) over "
-                f"{self.state_checks} cross-lane catch-up check(s)"
-            )
-        if self.equivalence_diffs:
-            failures.append(
-                f"{self.equivalence_diffs} interchange equivalence "
-                f"diff(s) over {self.equivalence_checks} check(s)"
-            )
-        if not self.storm.get("identical", False):
-            failures.append(
-                "same-seed topology storm not byte-identical with "
-                "interchange on and off"
-            )
-        if not self.storm.get("ok", False):
-            failures.append(
-                f"topology storm under interchange: "
-                f"{self.storm.get('violations', '?')} guarantee "
-                f"violation(s)"
-            )
-        return failures
-
-    @property
-    def passed(self) -> bool:
-        return not self.floor_failures()
-
-    def as_dict(self) -> dict:
-        return {
-            "benchmark": "interchange",
-            "seed": self.seed,
-            "lag": self.lag,
-            "lag_records": self.lag_records,
-            "column_values": self.column_values,
-            "rows": [row.as_dict() for row in self.rows],
-            "codec_speedup": round(self.codec_speedup, 3),
-            "catchup_speedup": round(self.catchup_speedup, 3),
-            "scorecard_speedup": round(self.scorecard_speedup, 3),
-            "floors": {
-                "min_codec_speedup": self.min_codec_speedup,
-                "min_catchup_speedup": self.min_catchup_speedup,
-                "max_state_diffs": 0,
-                "max_equivalence_diffs": 0,
-                "storm_identical": True,
-                "met": self.passed,
-            },
-            "oracle": {
-                "state_checks": self.state_checks,
-                "state_diffs": self.state_diffs,
-                "equivalence_checks": self.equivalence_checks,
-                "equivalence_diffs": self.equivalence_diffs,
-            },
-            "storm": dict(self.storm),
-        }
-
-    def write_json(self, path) -> None:
-        """Emit the machine-readable report (``BENCH_interchange.json``)."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.as_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    def render(self) -> str:
-        header = (
-            f"interchange bench — {self.column_values} value(s)/column, "
-            f"{self.lag}-op catch-up lag ({self.lag_records} record(s)), "
-            f"seed {self.seed}"
-        )
-        body = render_table(
-            ["Path", "Ops", "Ops/s", "p50 µs", "p99 µs"],
-            [
-                [
-                    row.name,
-                    str(row.operations),
-                    f"{row.ops_per_second:,.0f}",
-                    f"{row.p50_us}",
-                    f"{row.p99_us}",
-                ]
-                for row in self.rows
-            ],
-            max_width=60,
-        )
-        footer = (
-            f"column codec: {self.codec_speedup:.2f}x tagged JSON "
-            f"(floor {self.min_codec_speedup:.1f}x) · catch-up: "
-            f"{self.catchup_speedup:.2f}x per-op framed "
-            f"(floor {self.min_catchup_speedup:.1f}x) · scorecard "
-            f"reduce: {self.scorecard_speedup:.2f}x locked readings\n"
-            f"oracles: {self.state_diffs} state diff(s) over "
-            f"{self.state_checks} catch-up(s), {self.equivalence_diffs} "
-            f"equivalence diff(s) over {self.equivalence_checks} "
-            f"check(s), storm "
-            f"{'byte-identical' if self.storm.get('identical') else 'DIVERGED'}"
-            f" on/off; floors {'met' if self.passed else 'MISSED'}"
-        )
-        return f"{header}\n{body}\n{footer}"
-
-
-def run_interchange_bench(
-    lag: int = 2_000,
-    batch_rows: int = 128,
-    batches: int = 4,
-    column_values: int = 8_192,
-    codec_iterations: int = 40,
-    shard_count: int = 3,
-    preload: int = 180,
-    scorecard_reads: int = 40,
-    storm_count: int = 120,
-    seed: int = 23,
-    rounds: int = 3,
-    min_codec_speedup: float = 5.0,
-    min_catchup_speedup: float = 3.0,
-    json_path=None,
-) -> InterchangeBenchResult:
-    """Measure the typed-buffer interchange against its per-op twins.
-
-    Four phases:
-
-    1. **Column codec** — ``codec_iterations`` encode+decode round
-       trips of one int64 and one float64 column (``column_values``
-       values each), raw-buffer lanes (:func:`repro.interchange
-       .encode_column`) vs the tagged-JSON codec
-       (:func:`repro.persistence.encode_payload`) on the same values.
-       Floor: ``min_codec_speedup``.
-    2. **Batched catch-up** — a primary accrues ``lag`` single-insert
-       ops plus ``batches`` compact ``rows`` ops (``batch_rows`` records
-       each); the identical acked tail then replays into a fresh
-       follower three ways.  The floored pair keeps the codec
-       discipline constant and varies only batching: *per-op framed*
-       (each op individually framed, CRC-checked, decoded, applied and
-       clock-advanced — the non-batched interchange wire) vs *batched
-       frame* (real ``ReplicaSet.catch_up`` under the gate: coalesced
-       insert runs, one frame, contiguous admissions through
-       ``restore_records`` in one lock trip).  The *per-op in-memory*
-       lane (gate off — live dict references, zero serialization) rides
-       along as an informational row.  Every lane ends scan-ready
-       (``columnar_stats`` folds the kernels) so eager chunked kernel
-       sync is not billed against the per-op lanes.  Floor:
-       ``min_catchup_speedup``; oracle: ``capture_state``
-       byte-equality across all three lanes on every round.
-    3. **Scorecard reduce** — ``scorecard_reads`` ``live_scorecard``
-       reads against a preloaded gateway, locked per-shard readings vs
-       the encoded-frame reduce (informational row) with score-line
-       equality checked both ways, plus one telemetry op-stream
-       ship/absorb fingerprint check.
-    4. **Storm oracle** — the same seeded topology storm (live
-       split/merge, replica lag, failover, kill-restart on the file
-       WAL) with the gate forced on and off: report render and
-       cluster-state checksum must be byte-identical.
-
-    ``json_path`` additionally writes ``BENCH_interchange.json``.
-    """
-    from array import array
-
-    from repro import interchange
-    from repro.casestudy import easychair
-    from repro.dq.metadata import Clock
-    from repro.interchange import forced_interchange
-    from repro.persistence import (
-        apply_op,
-        capture_state,
-        encode_payload,
-        op_tick,
-    )
-    from repro.runtime.dqengine import build_app
-
-    from .replication import ReplicaSet, ReplicationLog
-    from .topology import run_topology_chaos
-
-    design_model = easychair.build_design()
-    spec = LoadGenerator(seed=seed).spec
-    writer = spec.cleared_users[0]
-    rows: list[HotpathRow] = []
-
-    def make_app(persistence=None):
-        app = build_app(design_model, clock=Clock(), persistence=persistence)
-        for name, level, roles in easychair.USERS:
-            app.add_user(name, level, roles)
-        return app
-
-    # -- 1. column codec: raw buffers vs tagged JSON ----------------------
-    rng = random.Random(seed)
-    ints = [rng.randrange(-(10 ** 12), 10 ** 12) for _ in range(column_values)]
-    floats = [rng.random() * 1e6 - 5e5 for _ in range(column_values)]
-    int_column = array("q", ints)
-    float_column = array("d", floats)
-
-    def typed_round_trip():
-        interchange.decode_column(interchange.encode_column(int_column))
-        interchange.decode_column(interchange.encode_column(float_column))
-
-    def json_round_trip():
-        from repro.persistence import decode_payload
-
-        decode_payload(encode_payload(ints))
-        decode_payload(encode_payload(floats))
-
-    def typed_pass() -> HotpathRow:
-        elapsed, samples = _timed_loop(
-            [typed_round_trip] * codec_iterations
-        )
-        return HotpathRow(
-            "codec typed buffers", codec_iterations, elapsed, samples
-        )
-
-    def json_pass() -> HotpathRow:
-        elapsed, samples = _timed_loop(
-            [json_round_trip] * codec_iterations
-        )
-        return HotpathRow(
-            "codec tagged JSON", codec_iterations, elapsed, samples
-        )
-
-    # equivalence: the typed lane round-trips the exact values
-    equivalence_checks = 0
-    equivalence_diffs = 0
-    equivalence_checks += 2
-    if list(interchange.decode_column(
-        interchange.encode_column(int_column)
-    )) != ints:
-        equivalence_diffs += 1  # pragma: no cover - would be a codec bug
-    decoded_floats = interchange.decode_column(
-        interchange.encode_column(float_column)
-    )
-    if float_column.tobytes() != array("d", decoded_floats).tobytes():
-        equivalence_diffs += 1  # pragma: no cover - would be a codec bug
-
-    rows.extend(_best_of([json_pass, typed_pass], rounds))
-
-    # -- 2. batched catch-up vs per-op apply ------------------------------
-    seed_log = ReplicationLog()
-    primary = make_app(seed_log)
-    entity = primary.store.entity(spec.entity)
-    payload_rng = random.Random(seed)
-    for _ in range(lag):
-        entity.insert(spec.clean_payload(payload_rng))
-    for _ in range(batches):
-        entity.insert_many(
-            [spec.clean_payload(payload_rng) for _ in range(batch_rows)]
-        )
-    seed_log.sync()
-    tail_ops = [op for _seq, op in seed_log.ship(0)]
-    lag_records = lag + batches * batch_rows
-    state_checks = 0
-    state_diffs = 0
-    lane_states: dict[str, bytes] = {}
-
-    def _note_state(name: str, follower) -> None:
-        # every lane must land the follower in byte-identical state —
-        # compare each fresh capture against every other lane's latest
-        nonlocal state_checks, state_diffs
-        state = encode_payload(capture_state(follower))
-        for other_name, other in lane_states.items():
-            if other_name != name:
-                state_checks += 1
-                if state != other:
-                    state_diffs += 1  # pragma: no cover - equivalence bug
-        lane_states[name] = state
-
-    def per_op_framed_lane() -> HotpathRow:
-        # per-op apply under the same codec discipline: each tail op is
-        # individually framed, CRC-checked, decoded and applied — what a
-        # non-batched interchange wire pays per op
-        follower = make_app()
-        gc.collect()
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            for op in tail_ops:
-                blob = interchange.frame(interchange.encode_op(op))
-                decoded = interchange.decode_value(
-                    interchange.unframe(blob)
-                )
-                apply_op(follower, decoded)
-                follower.clock.advance_to(op_tick(decoded))
-            # scan-ready: fold the admitted tail into the kernels, as
-            # the chunked admission path does eagerly
-            follower.store.entity(spec.entity).columnar_stats()
-            elapsed = time.perf_counter() - start
-        finally:
-            if was_enabled:
-                gc.enable()
-        _note_state("catch-up per-op framed", follower)
-        return HotpathRow(
-            "catch-up per-op framed", len(tail_ops), elapsed, [elapsed]
-        )
-
-    def catchup_lane(batched: bool) -> HotpathRow:
-        log = ReplicationLog()
-        for op in tail_ops:
-            log.append(op)
-        log.sync()
-        replica_set = ReplicaSet(make_app, log, count=1)
-        name = (
-            "catch-up batched frame"
-            if batched
-            else "catch-up per-op in-memory"
-        )
-        with forced_interchange(batched):
-            gc.collect()
-            was_enabled = gc.isenabled()
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                replica_set.catch_up()
-                replica_set.follower(0).store.entity(
-                    spec.entity
-                ).columnar_stats()
-                elapsed = time.perf_counter() - start
-            finally:
-                if was_enabled:
-                    gc.enable()
-        _note_state(name, replica_set.follower(0))
-        return HotpathRow(name, len(tail_ops), elapsed, [elapsed])
-
-    rows.extend(_best_of(
-        [
-            per_op_framed_lane,
-            lambda: catchup_lane(False),
-            lambda: catchup_lane(True),
-        ],
-        rounds,
-    ))
-
-    # -- 3. scorecard reduce + telemetry shipping -------------------------
-    gateway = ShardedGateway.from_design(
-        design_model, shard_count=shard_count, users=easychair.USERS,
-        cache_capacity=0, max_queue_depth=4096, workers=shard_count,
-    )
-    try:
-        payload_rng = random.Random(seed)
-        responses = gateway.submit_many(
-            spec.form,
-            [spec.clean_payload(payload_rng) for _ in range(preload)],
-            writer,
-        )
-        if any(r.status != 201 for r in responses):  # pragma: no cover
-            raise RuntimeError("interchange bench preload failed")
-        bounds = {}
-        entity_fields = tuple(
-            gateway.shards[0].store.entity(spec.entity).fields
-        )
-
-        def scorecard_lane(encoded: bool) -> HotpathRow:
-            with forced_interchange(encoded):
-                elapsed, samples = _timed_loop([
-                    (lambda: gateway.live_scorecard(spec.entity))
-                ] * scorecard_reads)
-            name = (
-                "scorecard encoded reduce" if encoded
-                else "scorecard locked readings"
-            )
-            return HotpathRow(name, scorecard_reads, elapsed, samples)
-
-        rows.extend(_best_of(
-            [lambda: scorecard_lane(False), lambda: scorecard_lane(True)],
-            rounds,
-        ))
-        with forced_interchange(True):
-            lines_on = gateway.live_scorecard(spec.entity)
-        with forced_interchange(False):
-            lines_off = gateway.live_scorecard(spec.entity)
-        equivalence_checks += 1
-        if [
-            (line.characteristic, line.score, line.evidence)
-            for line in lines_on
-        ] != [
-            (line.characteristic, line.score, line.evidence)
-            for line in lines_off
-        ]:
-            equivalence_diffs += 1  # pragma: no cover - equivalence bug
-
-        # telemetry op-stream shipping: encode one shard's pending queue
-        # on a fresh write burst, absorb it into a mirror accumulator
-        gateway.submit_many(
-            spec.form,
-            [spec.clean_payload(payload_rng) for _ in range(64)],
-            writer,
-        )
-        shard_store = gateway.shards[0].store.entity(spec.entity)
-        mirror = make_app()
-        mirror_store = mirror.store.entity(spec.entity)
-        # prime the mirror to the shard's pre-burst state so only the
-        # shipped delta separates the two accumulators
-        baseline_frame = shard_store.telemetry_frame()
-        ops_frame = shard_store.ship_telemetry_ops()
-        equivalence_checks += 1
-        if ops_frame is None and baseline_frame is None:
-            equivalence_diffs += 1  # pragma: no cover - telemetry off
-        else:
-            shard_fp = interchange.accumulator_fingerprint(
-                shard_store.telemetry
-            )
-            decoded = interchange.decode_accumulator(baseline_frame[1])
-            if ops_frame is not None:
-                decoded.absorb(interchange.decode_telemetry_ops(ops_frame))
-            if interchange.accumulator_fingerprint(decoded) != shard_fp:
-                equivalence_diffs += 1  # pragma: no cover
-        del entity_fields, bounds, mirror, mirror_store
-    finally:
-        gateway.close()
-
-    # -- 4. same-seed topology storm, gate on vs off ----------------------
-    with forced_interchange(True):
-        storm_on = run_topology_chaos(
-            seed=seed, shard_count=shard_count, count=storm_count,
-            preload=12, replicas=1, staleness_bound=16,
-            persistence="file", kills=1, replica_lags=2, failovers=1,
-        )
-    with forced_interchange(False):
-        storm_off = run_topology_chaos(
-            seed=seed, shard_count=shard_count, count=storm_count,
-            preload=12, replicas=1, staleness_bound=16,
-            persistence="file", kills=1, replica_lags=2, failovers=1,
-        )
-    storm = {
-        "ok": storm_on.ok,
-        "violations": len(storm_on.violations),
-        "identical": (
-            storm_on.checksum == storm_off.checksum
-            and storm_on.report.render() == storm_off.report.render()
-        ),
-        "checksum_equal": storm_on.checksum == storm_off.checksum,
-        "render_equal": (
-            storm_on.report.render() == storm_off.report.render()
-        ),
-        "migrated": storm_on.migrated,
-        "restarts": storm_on.restarts,
-        "failovers": storm_on.failovers,
-    }
-
-    result = InterchangeBenchResult(
-        seed=seed,
-        lag=len(tail_ops),
-        lag_records=lag_records,
-        column_values=column_values,
-        rows=rows,
-        state_checks=state_checks,
-        state_diffs=state_diffs,
-        equivalence_checks=equivalence_checks,
-        equivalence_diffs=equivalence_diffs,
-        storm=storm,
-        min_codec_speedup=min_codec_speedup,
-        min_catchup_speedup=min_catchup_speedup,
     )
     if json_path is not None:
         result.write_json(json_path)

@@ -44,7 +44,6 @@ from repro.core.errors import (
     VersionConflictError,
 )
 from repro.dq.metadata import Clock
-from repro.interchange import interchange_active
 from repro.runtime.app import WebApp
 from repro.runtime.http import (
     Request,
@@ -164,13 +163,6 @@ class ShardedGateway:
         self._version_lock = threading.Lock()
         self._routes: list[GatewayRoute] = []
         self._closed = False
-        # Encoded scorecard reduce (repro.interchange): per-(entity,
-        # shard-index) decoded accumulator snapshots and the merged
-        # reduction, each keyed by the producing store's frame cache key
-        # so any absorbed mutation invalidates them.
-        self._frame_decode_cache: dict[tuple, tuple] = {}
-        self._frame_merge_cache: dict[str, tuple] = {}
-        self._frame_lock = threading.Lock()
         # Durability: ``_shard_factory(index)`` rebuilds shard ``index``
         # from its durable state after a kill (set by ``from_design``);
         # without one, injected kills degrade to plain crashes.
@@ -382,10 +374,12 @@ class ShardedGateway:
         and in-bounds counts, provenance / protection tallies and its
         own clock's Currentness total) gathered under its entity lock —
         no snapshot copies, so a read costs the same whether the shard
-        holds ten records or a million.  Line-for-line equivalent to
-        :meth:`rescan_scorecard` — exactly for Precision, Traceability
-        and Confidentiality, to float tolerance for Completeness and
-        Currentness.  ``None`` when telemetry is disabled on any shard.
+        holds ten records or a million.  A bounded field whose tracker
+        spilled past exact counting on any shard is rescanned instead.
+        Line-for-line equivalent to :meth:`rescan_scorecard` — exactly
+        for Precision, Traceability and Confidentiality, to float
+        tolerance for Completeness and Currentness.  ``None`` when
+        telemetry is disabled on any shard.
         """
         from repro.dq.metrics import in_bounds
         from repro.dq.scorecard import ScoreLine
@@ -397,61 +391,44 @@ class ShardedGateway:
         policy = self.shards[0].policies.for_entity(entity)
         level = policy.security_level
         apps = self._scorecard_apps()
-        if interchange_active():
-            # encoded reduce: per-shard accumulator frames decoded once
-            # (cached on the stores' frame keys) and merged cluster-wide
-            # — shards serialize their state exactly once per mutation
-            # epoch instead of once per scorecard read.
-            aggregate = self._reduce_from_frames(
-                entity, apps, fields, bounds, level, max_age
-            )
-            if aggregate is None:
-                return None
-        else:
-            readings = []
-            for shard in apps:
-                now = shard.clock.peek()
+        readings = []
+        for shard in apps:
+            now = shard.clock.peek()
 
-                def read(accumulator, now=now):
-                    valid = []
-                    for name, (lower, upper) in bounds.items():
-                        field = accumulator.field_or_none(name)
-                        valid.append(
-                            field.count_in_bounds(lower, upper)
-                            if field is not None else 0
-                        )
-                    return (
-                        accumulator.records,
-                        sum(accumulator.present_of(name) for name in fields),
-                        valid,
-                        accumulator.currentness_total(now, max_age)
-                        if accumulator.records else 0.0,
-                        accumulator.traced,
-                        accumulator.protected_count(level) if level else 0,
+            def read(accumulator, now=now):
+                valid = []
+                for name, (lower, upper) in bounds.items():
+                    field = accumulator.field_or_none(name)
+                    valid.append(
+                        field.count_in_bounds(lower, upper)
+                        if field is not None else 0
                     )
-
-                reading = shard.store.entity(entity).measure_telemetry(read)
-                if reading is None:
-                    return None
-                readings.append(reading)
-            valid_list = []
-            for index in range(len(bounds)):
-                per_shard = [reading[2][index] for reading in readings]
-                valid_list.append(
-                    None if any(count is None for count in per_shard)
-                    else sum(per_shard)
+                return (
+                    accumulator.records,
+                    sum(accumulator.present_of(name) for name in fields),
+                    valid,
+                    accumulator.currentness_total(now, max_age)
+                    if accumulator.records else 0.0,
+                    accumulator.traced,
+                    accumulator.protected_count(level) if level else 0,
                 )
-            aggregate = (
-                sum(reading[0] for reading in readings),
-                sum(reading[1] for reading in readings),
-                valid_list,
-                sum(reading[3] for reading in readings),
-                sum(reading[4] for reading in readings),
-                sum(reading[5] for reading in readings),
+
+            reading = shard.store.entity(entity).measure_telemetry(read)
+            if reading is None:
+                return None
+            readings.append(reading)
+        total = sum(reading[0] for reading in readings)
+        present_sum = sum(reading[1] for reading in readings)
+        valid_list = []
+        for index in range(len(bounds)):
+            per_shard = [reading[2][index] for reading in readings]
+            valid_list.append(
+                None if any(count is None for count in per_shard)
+                else sum(per_shard)
             )
-        total, present_sum, valid_list, decayed, traced, protected = (
-            aggregate
-        )
+        decayed = sum(reading[3] for reading in readings)
+        traced = sum(reading[4] for reading in readings)
+        protected = sum(reading[5] for reading in readings)
         lines = []
         if total == 0 or not fields:
             completeness = 1.0
@@ -509,82 +486,6 @@ class ShardedGateway:
                 f"policy level {policy.security_level}",
             ))
         return lines
-
-    def _reduce_from_frames(
-        self, entity, apps, fields, bounds, level, max_age
-    ):
-        """One cluster-wide scorecard aggregate ``(total, present_sum,
-        valid_list, decayed, traced, protected)`` reduced from encoded
-        accumulator frames.
-
-        Every shard serializes its accumulator once per mutation epoch
-        (:meth:`EntityStore.telemetry_frame` caches on the updates
-        counter); the gateway decodes each frame once (cache keyed on
-        the producing app and frame key, so follower swaps and absorbed
-        mutations both invalidate) and folds the decoded snapshots
-        through :func:`merge_accumulators` — KMV sketches, M2 moments
-        and count tables merge without rehashing.  Currentness cannot
-        compose cluster-wide (each shard decays against its own clock),
-        so it sums per-shard totals off the decoded snapshots in shard
-        order, exactly like the locked reading path.  ``None`` when any
-        shard has telemetry disabled.  A bounded field whose merged
-        tracker spilled reports ``None`` in ``valid_list``; the caller
-        rescans that field exactly as the legacy path does.
-        """
-        from repro import interchange
-        from repro.dq.streaming import merge_accumulators
-
-        with self._frame_lock:
-            snapshots = []
-            keys = []
-            for index, app in enumerate(apps):
-                now = app.clock.peek()
-                frame = app.store.entity(entity).telemetry_frame()
-                if frame is None:
-                    return None
-                key, payload = frame
-                cache_key = (entity, index)
-                cached = self._frame_decode_cache.get(cache_key)
-                if (
-                    cached is None
-                    or cached[0] is not app
-                    or cached[1] != key
-                ):
-                    cached = (
-                        app, key, interchange.decode_accumulator(payload)
-                    )
-                    self._frame_decode_cache[cache_key] = cached
-                snapshots.append((now, cached[2]))
-                keys.append(key)
-            merge_key = (len(keys), tuple(keys))
-            merged_entry = self._frame_merge_cache.get(entity)
-            if merged_entry is None or merged_entry[0] != merge_key:
-                merged_entry = (
-                    merge_key,
-                    merge_accumulators(acc for _now, acc in snapshots),
-                )
-                self._frame_merge_cache[entity] = merged_entry
-            merged = merged_entry[1]
-            valid_list = []
-            for name, (lower, upper) in bounds.items():
-                field = merged.field_or_none(name)
-                valid_list.append(
-                    field.count_in_bounds(lower, upper)
-                    if field is not None else 0
-                )
-            decayed = sum(
-                acc.currentness_total(now, max_age)
-                if acc.records else 0.0
-                for now, acc in snapshots
-            )
-            return (
-                merged.records,
-                sum(merged.present_of(name) for name in fields),
-                valid_list,
-                decayed,
-                merged.traced,
-                merged.protected_count(level) if level else 0,
-            )
 
     def rescan_scorecard(
         self,

@@ -86,13 +86,6 @@ def numpy_active() -> bool:
     return _active is not None
 
 
-def numpy_module():
-    """The live numpy module when the vector lanes are active, ``None``
-    otherwise — for callers (the interchange codec's zero-copy
-    ``np.frombuffer`` lane) that need more than a boolean."""
-    return _active
-
-
 @contextmanager
 def forced_mode(use_numpy: bool):
     """Test hook: pin the vector lanes on or off for the duration.

@@ -18,7 +18,6 @@ from .backend import (
 from .recovery import (
     RecoveryReport,
     apply_op,
-    apply_ops,
     capture_state,
     op_tick,
     recover_app,
@@ -46,7 +45,6 @@ __all__ = [
     "WALError",
     "WriteAheadLog",
     "apply_op",
-    "apply_ops",
     "capture_state",
     "decode_payload",
     "decode_records",

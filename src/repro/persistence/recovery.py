@@ -113,113 +113,6 @@ def op_tick(op: dict) -> int:
     return _op_tick(op)
 
 
-#: Op kinds that admit records and can be folded into one batched
-#: ``restore_records`` call when contiguous ops target the same entity.
-_ADMISSION_KINDS = frozenset(("insert", "rows", "adopt"))
-
-
-def _collect_admissions(op: dict, entries: list) -> None:
-    """Materialize one admission op into ``(record_id, data,
-    metadata_state, version, reserve)`` entries — exactly the arguments
-    :func:`_apply_op` would pass to ``restore_record`` per record."""
-    kind = op["op"]
-    if kind == "insert":
-        entries.append(
-            (op["id"], op["data"], None, 1, bool(op.get("pinned")))
-        )
-    elif kind == "adopt":
-        entries.append((
-            op["id"], op["data"], op.get("meta"),
-            op.get("version", 1), True,
-        ))
-    else:  # "rows"
-        by = op.get("by")
-        if by is not None:
-            level = op.get("level", 0)
-            grants = op.get("grants", [])
-            fields = op.get("fields", [])
-            for record_id, values, pinned, tick in op["rows"]:
-                data = (
-                    dict(zip(fields, values))
-                    if type(values) is list
-                    else values
-                )
-                entries.append((
-                    record_id, data,
-                    {
-                        "stored_by": by,
-                        "stored_date": tick,
-                        "last_modified_by": by,
-                        "last_modified_date": tick,
-                        "security_level": level,
-                        "available_to": grants,
-                        "extra": {},
-                    },
-                    1, bool(pinned),
-                ))
-        else:
-            for record_id, data, pinned in op["rows"]:
-                entries.append((record_id, data, None, 1, bool(pinned)))
-
-
-def apply_ops(app, ops, adopt: bool = False) -> int:
-    """Replay a durable op run with contiguous record admissions
-    **batched**: runs of ``insert`` / ``rows`` / ``adopt`` ops against
-    one entity are materialized into entries and admitted through
-    :meth:`~repro.runtime.storage.EntityStore.restore_records` — one
-    lock trip and one columnar ``_col_add_chunk`` per run — while every
-    other op kind replays through the exact per-op :func:`apply_op`
-    path.  Final state is byte-identical to the per-op replay
-    (``capture_state`` equality is the pinned oracle); returns the
-    number of ops applied.
-
-    ``adopt=True`` is the zero-copy handover: the caller certifies the
-    ops were freshly decoded (WAL replay, interchange catch-up) so
-    their row dicts are aliased nowhere else, and batched admissions
-    hand them to the store without a defensive copy.  Ops carrying a
-    ``shareable=True`` certification (stamped by the primary's batch
-    write path, or by :func:`repro.interchange.coalesce_insert_runs`)
-    additionally skip the per-record shareability walk; runs split at
-    certification boundaries so an uncertified op never dilutes a
-    certified run.
-    """
-    ops = list(ops)
-    index = 0
-    count = len(ops)
-    while index < count:
-        op = ops[index]
-        kind = op.get("op")
-        if kind in _ADMISSION_KINDS:
-            entity_name = op["entity"]
-            certified = bool(op.get("shareable"))
-            end = index
-            entries: list = []
-            while end < count:
-                candidate = ops[end]
-                if (
-                    candidate.get("op") not in _ADMISSION_KINDS
-                    or candidate["entity"] != entity_name
-                    or bool(candidate.get("shareable")) != certified
-                ):
-                    break
-                _collect_admissions(candidate, entries)
-                end += 1
-            if len(entries) > 1:
-                app.store.entity(entity_name).restore_records(
-                    entries,
-                    adopt=adopt,
-                    shareable=adopt and certified,
-                )
-            else:
-                for position in range(index, end):
-                    _apply_op(app, ops[position])
-            index = end
-        else:
-            _apply_op(app, op)
-            index += 1
-    return count
-
-
 def _apply_op(app, op: dict) -> None:
     kind = op.get("op")
     if kind == "insert":

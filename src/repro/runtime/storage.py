@@ -413,27 +413,6 @@ class _ConfidentialityIndex:
         self._state[record_id] = (level, grants)
         self._generation += 1
 
-    def index_chunk(self, stored_list) -> None:
-        """Batched :meth:`index` for freshly admitted records: the
-        caller's duplicate-id guard already proved every id is new, so
-        the unindex probe is skipped and the readable-cache generation
-        bumps once for the whole chunk instead of per record."""
-        by_level = self._by_level
-        by_grant = self._by_grant
-        state = self._state
-        for stored in stored_list:
-            metadata = stored.metadata
-            record_id = stored.record_id
-            grants = frozenset(metadata.available_to)
-            bucket = by_level.get(metadata.security_level)
-            if bucket is None:
-                bucket = by_level[metadata.security_level] = set()
-            bucket.add(record_id)
-            for user in grants:
-                by_grant.setdefault(user, set()).add(record_id)
-            state[record_id] = (metadata.security_level, grants)
-        self._generation += 1
-
     def unindex(self, record_id: int) -> None:
         state = self._state.pop(record_id, None)
         if state is None:
@@ -557,10 +536,6 @@ class EntityStore:
         self._telemetry: Optional[EntityAccumulator] = EntityAccumulator(name)
         self._telemetry_pending: list[tuple] = []
         self.telemetry_rebuilds = 0
-        # encode-once cache for `telemetry_frame`: (key, frame bytes),
-        # keyed on the accumulator identity + its mutation counters so
-        # any absorbed op invalidates it
-        self._telemetry_frame_cache: Optional[tuple] = None
 
     def attach_backend(self, backend) -> None:
         """Swap the durable backend in place (replication failover).
@@ -629,72 +604,6 @@ class EntityStore:
             if accumulator is None:
                 return None
             return fn(accumulator)
-
-    def telemetry_frame(self) -> Optional[tuple]:
-        """The accumulator snapshot as an encoded interchange frame —
-        ``(cache_key, frame_bytes)``, or ``None`` while disabled.
-
-        Serialized **once** per state change: the frame is cached
-        against the accumulator's ``(updates, records)`` counters
-        (every absorbed mutation ticks ``updates``), so a burst of
-        scorecard reads between writes pays one encode.  The key is
-        also the consumer's decode-cache handle: equal keys guarantee
-        an identical frame.
-        """
-        from repro import interchange
-
-        with self._lock:
-            accumulator = self.telemetry
-            if accumulator is None:
-                return None
-            key = (id(accumulator), accumulator.updates, accumulator.records)
-            cached = self._telemetry_frame_cache
-            if cached is not None and cached[0] == key:
-                return cached
-            frame = interchange.encode_accumulator(accumulator)
-            self._telemetry_frame_cache = (key, frame)
-            return self._telemetry_frame_cache
-
-    def ship_telemetry_ops(self) -> Optional[bytes]:
-        """Drain the deferred telemetry queue into one encoded
-        interchange frame while absorbing it locally — the op-stream
-        lane of telemetry shipping.
-
-        ``cols`` ops captured off promoted kernel buffers carry typed
-        ``array('q'/'d')`` slices; the codec ships them as raw
-        little-endian buffers and the remote absorb hands the decoded
-        columns straight to ``observe_columns`` — the census and
-        str-lane kernels run on the shipped slices without
-        re-transposing rows.  Metadata sidecars are snapshotted at ship
-        time (the local queue holds live references read at absorb
-        time; a frame cannot).  ``None`` when telemetry is disabled or
-        nothing is pending.
-        """
-        from repro import interchange
-
-        with self._lock:
-            accumulator = self._telemetry
-            if accumulator is None or not self._telemetry_pending:
-                return None
-            pending = self._telemetry_pending
-            self._telemetry_pending = []
-            frame = interchange.encode_telemetry_ops(pending)
-            accumulator.absorb(pending)
-            return frame
-
-    def absorb_telemetry_frame(self, frame: bytes) -> int:
-        """Absorb one :meth:`ship_telemetry_ops` frame into this
-        store's accumulator (the mirror side of telemetry shipping);
-        returns the op count, 0 while telemetry is disabled."""
-        from repro import interchange
-
-        ops = interchange.decode_telemetry_ops(frame)
-        with self._lock:
-            accumulator = self.telemetry
-            if accumulator is None:
-                return 0
-            accumulator.absorb(ops)
-            return len(ops)
 
     # -- secondary indexes -------------------------------------------------
 
@@ -1097,16 +1006,12 @@ class EntityStore:
                 # reproduce: reserve() for externally assigned ids,
                 # bump_to() for locally allocated ones — so the
                 # recovered allocator matches the original exactly.
-                # ``shareable`` re-exports the walk insert already ran,
-                # so ship-time coalescing can certify a folded run
-                # without re-walking every value.
                 self._backend.append({
                     "op": "insert",
                     "entity": self.name,
                     "id": record_id,
                     "data": dict(stored.data),
                     "pinned": pinned,
-                    "shareable": stored.shareable,
                 })
             return stored
 
@@ -1148,14 +1053,9 @@ class EntityStore:
             if stored_list:
                 self._col_add_chunk(stored_list)
             if log and self._backend is not None and stored_list:
-                # the shareability walk already ran per record — certify
-                # the chunk so a batched replay can skip repeating it
                 self._backend.append({
                     "op": "rows",
                     "entity": self.name,
-                    "shareable": all(
-                        stored.shareable for stored in stored_list
-                    ),
                     "rows": [
                         [stored.record_id, dict(stored.data), pinned]
                         for stored, pinned in zip(stored_list, pins)
@@ -1207,11 +1107,6 @@ class EntityStore:
             "level": security_level,
             "grants": sorted(available_to),
             "fields": list(fields),
-            # certify the chunk's shareability once (the walk already
-            # ran per record on insert) for batched replay
-            "shareable": all(
-                stored.shareable for stored in stored_list
-            ),
             "rows": entries,
         })
 
@@ -1403,85 +1298,6 @@ class EntityStore:
                     ("row", record_id, stored.data, stored.metadata)
                 )
             return stored
-
-    def restore_records(
-        self,
-        entries: Sequence[tuple],
-        adopt: bool = False,
-        shareable: bool = False,
-    ) -> list[StoredRecord]:
-        """Batched :meth:`restore_record`: admit a whole run of
-        ``(record_id, data, metadata_state, version, reserve)`` entries
-        under **one** lock trip, mirrored into the columnar spine via
-        :meth:`_col_add_chunk` (one epoch bump and one per-field extend
-        for a layout-uniform run) with a single batched telemetry op.
-        Field indexing is hoisted column-wise: one pass down the run per
-        indexed field instead of a per-record method fan-out.
-
-        ``adopt=True`` is the zero-copy handover for decoded batches:
-        the caller certifies it owns every ``data`` dict (freshly built
-        by a codec, aliased nowhere else) and the store takes them
-        without the defensive copy.  ``shareable=True`` certifies every
-        data value would pass the store's shareability walk (the
-        producer already knew — the primary's ``stored.shareable``, or
-        the coalescer's scalar check), so the per-record walk is
-        skipped with the same conclusion.
-
-        The replicated catch-up path uses this to absorb a shipped op
-        batch; final store state is identical to replaying the entries
-        one at a time through :meth:`restore_record` (the accumulator
-        reaches the same state from one ``rows`` op as from N ``row``
-        ops — only its ``updates`` tick count differs, which no durable
-        or scored state observes).
-        """
-        with self._lock:
-            records = self._records
-            ids = self._ids
-            make_metadata = DQMetadataRecord.from_state
-            stored_list: list[StoredRecord] = []
-            append = stored_list.append
-            for record_id, data, metadata_state, version, reserve in entries:
-                if record_id in records:
-                    raise ValueError(
-                        f"{self.name}: record id {record_id} already in use"
-                    )
-                if reserve is True:
-                    ids.reserve(record_id)
-                elif reserve is False:
-                    ids.bump_to(record_id)
-                stored = StoredRecord(
-                    record_id,
-                    data if adopt else dict(data),
-                    version=version,
-                    shareable=shareable,
-                )
-                if metadata_state is not None:
-                    stored.metadata = make_metadata(metadata_state)
-                records[record_id] = stored
-                append(stored)
-            if self._field_indexes:
-                pairs = [
-                    (stored.data, stored.record_id)
-                    for stored in stored_list
-                ]
-                for field_name, index in self._field_indexes.items():
-                    setdefault = index.setdefault
-                    for data, record_id in pairs:
-                        try:
-                            setdefault(
-                                data.get(field_name), set()
-                            ).add(record_id)
-                        except TypeError:  # unhashable: scannable only
-                            pass
-            self._confidentiality.index_chunk(stored_list)
-            if stored_list:
-                self._col_add_chunk(stored_list)
-                if self._telemetry is not None:
-                    self._telemetry_pending.append(("rows", [
-                        (stored.record_id, stored.data, stored.metadata)
-                        for stored in stored_list
-                    ]))
-            return stored_list
 
     def restore_update(
         self, record_id: int, data: dict, version: Optional[int] = None

@@ -301,6 +301,129 @@ class TestEntityAccumulator:
         assert merged is not accumulator
 
 
+def accumulator_fingerprint(accumulator: EntityAccumulator) -> str:
+    """A canonical rendering of every *observable* bit of accumulator
+    state — the equality oracle for the merge laws.
+
+    Canonicalizes what is not observable: table iteration order (sorted
+    by key repr), KMV heap layout (the member set is the state) and the
+    ``_hash_memo`` cache.
+    """
+    def table(mapping) -> list:
+        return sorted((repr(key), value) for key, value in mapping.items())
+
+    fields = []
+    for name, f in accumulator._fields.items():
+        fields.append((
+            name, f.total, f.missing, f.spilled, f.spill_threshold,
+            f._num_n, repr(f._num_sum), repr(f._num_sumsq),
+            repr(f._num_min), repr(f._num_max),
+            f._string_count, tuple(f._pattern_counts),
+            table(f._other_counts),
+            table(f._numeric_counts),
+            (
+                sorted(
+                    (value, entry[0], tuple(entry[1]))
+                    for value, entry in f._strings.items()
+                )
+                if f._strings is not None else None
+            ),
+            (
+                (f._sketch.k, sorted(f._sketch._members))
+                if f._sketch is not None else None
+            ),
+        ))
+    return repr((
+        accumulator.entity,
+        accumulator.spill_threshold,
+        accumulator.records,
+        accumulator.updates,
+        accumulator._traced,
+        accumulator._ts_sum,
+        accumulator._ts_count,
+        accumulator._ts_min,
+        table(accumulator._levels),
+        table(accumulator._timestamps),
+        list(accumulator._fields),  # field discovery order is observable
+        sorted(fields, key=lambda item: item[0]),
+    ))
+
+
+def _fill(accumulator, rows, base_id=0):
+    for offset, data in enumerate(rows):
+        accumulator.observe_row(
+            base_id + offset, data,
+            Meta(stored_date=offset, last_modified_date=offset,
+                 security_level=offset % 3),
+        )
+
+
+def _three_shards(spill_threshold=DEFAULT_SPILL_THRESHOLD):
+    shards = []
+    for shard in range(3):
+        accumulator = EntityAccumulator(
+            ENTITY, spill_threshold=spill_threshold
+        )
+        _fill(
+            accumulator,
+            [
+                {"name": f"s{shard}-r{i}", "score": shard * 100 + i,
+                 "email": None if i % 4 == 0 else f"u{i}@ex.org"}
+                for i in range(20 + shard * 7)
+            ],
+            base_id=shard * 1000,
+        )
+        shards.append(accumulator)
+    return shards
+
+
+class TestSnapshotMergeLaws:
+    """Merging shard snapshots — the copies ``telemetry_snapshot()``
+    hands to the cluster merge — commutes and associates, across a KMV
+    spill handover too.  Numeric fields use integers: int sums are
+    exact, so associativity holds bit for bit."""
+
+    def test_merge_commutes(self):
+        left, right, _ = _three_shards()
+        ab = merge_accumulators([left.snapshot(), right.snapshot()])
+        ba = merge_accumulators([right.snapshot(), left.snapshot()])
+        assert accumulator_fingerprint(ab) == accumulator_fingerprint(ba)
+
+    def test_merge_associates(self):
+        a, b, c = (shard.snapshot() for shard in _three_shards())
+        left_first = merge_accumulators([merge_accumulators([a, b]), c])
+        right_first = merge_accumulators([a, merge_accumulators([b, c])])
+        assert accumulator_fingerprint(left_first) == (
+            accumulator_fingerprint(right_first)
+        )
+
+    def test_merge_with_spill_handover(self):
+        # one side spilled to the KMV sketch, the other still exact: the
+        # merge must land in the same state from snapshots as from the
+        # live accumulators, and spill
+        spilled = EntityAccumulator(ENTITY, spill_threshold=16)
+        _fill(spilled, [{"name": f"many-{i}"} for i in range(50)])
+        exact = EntityAccumulator(ENTITY, spill_threshold=16)
+        _fill(exact, [{"name": f"few-{i}"} for i in range(5)], base_id=500)
+        assert spilled._fields["name"].spilled
+        assert not exact._fields["name"].spilled
+
+        live = merge_accumulators([exact, spilled])
+        snapshots = merge_accumulators([exact.snapshot(), spilled.snapshot()])
+        assert live._fields["name"].spilled
+        assert accumulator_fingerprint(snapshots) == (
+            accumulator_fingerprint(live)
+        )
+        assert accumulator_fingerprint(snapshots.snapshot()) == (
+            accumulator_fingerprint(snapshots)
+        )
+
+    def test_merge_none_stays_none(self):
+        shard = _three_shards()[0].snapshot()
+        assert merge_accumulators([shard, None]) is None
+        assert merge_accumulators([None]) is None
+
+
 @pytest.fixture()
 def app():
     app = easychair.build_app(Clock())

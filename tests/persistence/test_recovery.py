@@ -12,7 +12,7 @@ import pytest
 
 from repro.casestudy import easychair
 from repro.cluster.bench import LoadGenerator
-from repro.persistence import capture_state, recover_app
+from repro.persistence import apply_op, capture_state, recover_app
 from repro.persistence.backend import MemoryBackend
 from repro.runtime.dqengine import build_app
 
@@ -62,7 +62,17 @@ def _populate(app, spec, count=60, seed=7):
 @pytest.mark.durability
 def test_recovery_is_byte_identical(durable_backend, spec):
     app = _make_app(durable_backend)
-    entity, ids, retired, _pin = _populate(app, spec)
+    entity, ids, retired, pin = _populate(app, spec)
+    # data directories written by older builds stamp insert and rows
+    # ops with a ``shareable`` key; replay must ignore it
+    legacy = {
+        "op": "insert", "entity": entity, "id": pin + 1,
+        "data": spec.clean_payload(random.Random(5)), "pinned": True,
+        "shareable": True,
+    }
+    durable_backend.append(legacy)
+    apply_op(app, legacy)
+    app.commit()
     oracle = capture_state(app)
     durable_backend.kill()
 

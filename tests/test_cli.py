@@ -242,3 +242,43 @@ class TestChaos:
         )
         assert code == 0
         assert '"resilience"' in text
+
+
+class TestBadInput:
+    """Bad input exits 2 with one argparse-style error line."""
+
+    def assert_usage_error(self, capsys, argv, *fragments):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(*argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        last = err.rstrip("\n").splitlines()[-1]
+        assert last.startswith(f"repro {argv[0]}: error: ")
+        for fragment in fragments:
+            assert fragment in last
+        return err
+
+    def test_chaos_rejects_zero_shards(self, capsys):
+        self.assert_usage_error(
+            capsys, ["chaos", "--shards", "0"],
+            "--shards", "must be a positive integer",
+        )
+
+    def test_cluster_bench_rejects_zero_shards(self, capsys):
+        self.assert_usage_error(
+            capsys, ["cluster-bench", "--shards", "0"],
+            "--shards", "must be a positive integer",
+        )
+
+    @pytest.mark.parametrize("command", [
+        "validate", "transform", "codegen", "srs", "assess", "diff",
+    ])
+    def test_missing_model_file(self, capsys, tmp_path, command):
+        missing = str(tmp_path / "missing.json")
+        models = [missing, missing] if command == "diff" else [missing]
+        err = self.assert_usage_error(
+            capsys, [command, *models],
+            "cannot read model", "missing.json",
+            "No such file or directory",
+        )
+        assert len(err.splitlines()) == 1
