@@ -93,18 +93,16 @@ def test_hotpath_floors_and_report():
     """
     result = None
     for _ in range(2):
-        result = run_hotpath_bench(shard_count=4, json_path=HOTPATH_JSON)
-        if (
-            result.read_speedup >= 3.0
-            and result.batch_speedup >= 1.5
-            and result.index_speedup >= 1.0
-        ):
+        result = run_hotpath_bench(shard_count=4)
+        if result.passed:
             break
+    result.write_json(HOTPATH_JSON)
     print()
     print(result.render())
-    assert result.read_speedup >= 3.0, result.render()
-    assert result.batch_speedup >= 1.5, result.render()
-    assert result.index_speedup >= 1.0, result.render()
+    speedups = result.values
+    assert speedups["cow_read_vs_deepcopy"] >= 3.0, result.render()
+    assert speedups["batched_vs_unbatched_writes"] >= 1.5, result.render()
+    assert speedups["indexed_vs_scan_lookups"] >= 1.0, result.render()
     report = result.as_dict()
     assert HOTPATH_JSON.exists()
     names = [row["name"] for row in report["rows"]]

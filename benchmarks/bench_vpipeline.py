@@ -27,14 +27,16 @@ def test_validation_floors_and_report():
     """The overhaul's acceptance floors, best-of-3 with one retry."""
     result = None
     for _ in range(2):
-        result = run_validation_bench(json_path=VALIDATE_JSON)
+        result = run_validation_bench()
         if result.passed:
             break
+    result.write_json(VALIDATE_JSON)
     print()
     print(result.render())
-    assert result.single_speedup >= 3.0, result.render()
-    assert result.batch_speedup >= 5.0, result.render()
-    assert result.equivalence_diffs == 0, result.render()
+    values = result.values
+    assert values["fused_single_vs_legacy"] >= 3.0, result.render()
+    assert values["fused_batch_vs_legacy"] >= 5.0, result.render()
+    assert values["equivalence_diffs"] == 0, result.render()
     report = result.as_dict()
     assert VALIDATE_JSON.exists()
     names = [row["name"] for row in report["rows"]]

@@ -20,21 +20,13 @@ Subcommands mirror the pipeline stages:
 * ``cluster-bench`` — measure the sharded gateway (our scaling extension)
   against the single-shard serving path on the read-heavy mix; with
   ``--faults``, add a row with one shard crashed to measure how much
-  throughput the resilience layer retains; ``--smoke`` asserts the fast
-  performance floors (exit 1 on a miss), ``--hotpath`` runs the
-  copy-on-write / write-batching / field-index microbenchmarks, and
-  ``--validate`` runs the compiled-validation bench (fused plans vs the
-  legacy interpreted chain; exit 1 on a missed floor), and
-  ``--dqtelemetry`` runs the streaming-DQ-telemetry bench (live
-  scorecards/profiles vs full rescans, with the zero-diff equivalence
-  sweep; exit 1 on a missed floor), and ``--durability`` runs the
-  persistence bench (WAL write overhead, crash-recovery time, the
-  post-recovery oracle and a kill-restart storm; exit 1 on a missed
-  floor), and ``--replication`` runs the replicated-ring bench
-  (serving throughput during a live split/merge, the fixed-topology
-  oracle, a failover drill and a seeded topology storm; exit 1 on a
-  missed floor) — all five accept ``--json PATH`` for the
-  machine-readable report;
+  throughput the resilience layer retains.  One mode flag runs a
+  component bench instead — ``--hotpath``, ``--validate``,
+  ``--dqtelemetry``, ``--durability``, ``--replication`` or
+  ``--columnar`` (``--json PATH`` also writes the machine-readable
+  report) — or ``--smoke`` for all but the hot-path bench at tier-1
+  scale; each prints its floors from ``repro.cluster.bench.FLOORS`` and
+  exits 1 on a missed floor;
 * ``chaos`` — run the deterministic fault-injection harness against the
   sharded gateway and verify every DQ guarantee held; ``--durability``
   (or ``--backend file|sqlite`` with ``--kills N``) puts a durable
@@ -127,11 +119,15 @@ def build_parser() -> argparse.ArgumentParser:
              "(beyond the paper)",
     )
     cluster_bench.add_argument("--shards", type=_positive_int, default=4)
-    cluster_bench.add_argument("--count", type=int, default=600)
-    cluster_bench.add_argument("--preload", type=int, default=400)
+    cluster_bench.add_argument("--count", type=_positive_int, default=600)
+    cluster_bench.add_argument(
+        "--preload", type=_non_negative_int, default=400
+    )
     cluster_bench.add_argument("--seed", type=int, default=23)
-    cluster_bench.add_argument("--threads", type=int, default=1)
-    cluster_bench.add_argument("--cache-capacity", type=int, default=512)
+    cluster_bench.add_argument("--threads", type=_positive_int, default=1)
+    cluster_bench.add_argument(
+        "--cache-capacity", type=_non_negative_int, default=512
+    )
     cluster_bench.add_argument(
         "--include-uncached", action="store_true",
         help="add an uncached N-shard row (isolates sharding vs caching)",
@@ -145,68 +141,49 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics", action="store_true",
         help="also print each configuration's gateway metrics",
     )
-    cluster_bench.add_argument(
-        "--smoke", action="store_true",
-        help="fast floor check: cached gateway >= 2x the baseline and "
-             ">= 50%% throughput retained under faults; exit 1 on a miss",
-    )
-    cluster_bench.add_argument(
-        "--hotpath", action="store_true",
-        help="run the hot-path microbenchmarks (copy-on-write reads, "
-             "write batching, field indexes) instead of the comparison",
-    )
-    cluster_bench.add_argument(
-        "--validate", action="store_true",
-        help="run the compiled-validation bench (fused plans vs the "
-             "legacy interpreted chain, with the zero-diff equivalence "
-             "sweep); exit 1 on a missed floor",
-    )
-    cluster_bench.add_argument(
-        "--dqtelemetry", action="store_true",
-        help="run the streaming-DQ-telemetry bench (live scorecards and "
-             "profiler suggestions from mergeable accumulators vs full "
-             "rescans, with the zero-diff equivalence sweep); exit 1 on "
-             "a missed floor",
-    )
-    cluster_bench.add_argument(
-        "--durability", action="store_true",
-        help="run the durability bench (WAL write overhead vs in-memory, "
-             "crash-recovery time, the post-recovery oracle sweep and a "
-             "seeded kill-restart storm); exit 1 on a missed floor",
-    )
-    cluster_bench.add_argument(
-        "--replication", action="store_true",
-        help="run the replication bench (serving throughput during a "
-             "live split/merge, the fixed-topology oracle, a failover "
-             "drill and a seeded topology storm); exit 1 on a missed "
-             "floor",
-    )
-    cluster_bench.add_argument(
-        "--columnar", action="store_true",
-        help="run the columnar-spine bench (store-resident DQ sweeps "
-             "down the column arrays with zone maps, telemetry column "
-             "absorption and index scans vs their row oracles, plus the "
-             "WAL round-trip and same-seed determinism drills); exit 1 "
-             "on a missed floor",
-    )
+    modes = cluster_bench.add_mutually_exclusive_group()
+    for mode, help_text in (
+        ("smoke", "the fast floor check (the comparison plus every bench "
+                  "below but --hotpath, at tier-1 scale)"),
+        ("hotpath", "the hot-path microbenchmarks (copy-on-write reads, "
+                    "write batching, field indexes)"),
+        ("validate", "the compiled-validation bench (fused plans vs the "
+                     "legacy interpreted chain, with the zero-diff "
+                     "equivalence sweep)"),
+        ("dqtelemetry", "the streaming-DQ-telemetry bench (live "
+                        "scorecards and profiler suggestions from "
+                        "mergeable accumulators vs full rescans, with the "
+                        "zero-diff equivalence sweep)"),
+        ("durability", "the durability bench (WAL write overhead vs "
+                       "in-memory, crash-recovery time, the post-recovery "
+                       "oracle sweep and a seeded kill-restart storm)"),
+        ("replication", "the replication bench (serving throughput during "
+                        "a live split/merge, the fixed-topology oracle, a "
+                        "failover drill and a seeded topology storm)"),
+        ("columnar", "the columnar-spine bench (store-resident DQ sweeps "
+                     "down the column arrays with zone maps, telemetry "
+                     "column absorption and index scans vs their row "
+                     "oracles)"),
+    ):
+        modes.add_argument(
+            f"--{mode}", dest="mode", action="store_const", const=mode,
+            help=f"run {help_text} instead of the comparison; exit 1 on a "
+                 "missed floor",
+        )
     cluster_bench.add_argument(
         "--backend", default="file", choices=["file", "sqlite"],
         help="with --durability: the durable backend to measure "
              "(default: file — the append-only WAL plus snapshots)",
     )
     cluster_bench.add_argument(
-        "--records", type=int, default=20_000,
+        "--records", type=_positive_int, default=20_000,
         help="with --durability: records loaded before the timed "
              "crash recovery",
     )
     cluster_bench.add_argument(
         "--json", metavar="PATH", default=None,
-        help="with --hotpath, --validate, --dqtelemetry, --durability, "
-             "--replication or --columnar: also write the "
-             "machine-readable report (e.g. BENCH_hotpath.json / "
-             "BENCH_validate.json / BENCH_dqtelemetry.json / "
-             "BENCH_durability.json / BENCH_replication.json / "
-             "BENCH_columnar.json)",
+        help="with a bench mode other than --smoke: also write the "
+             "machine-readable report (e.g. BENCH_hotpath.json)",
     )
 
     chaos = commands.add_parser(
@@ -216,9 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument("--seed", type=int, default=11)
     chaos.add_argument("--shards", type=_positive_int, default=4)
-    chaos.add_argument("--count", type=int, default=400)
-    chaos.add_argument("--preload", type=int, default=32)
-    chaos.add_argument("--threads", type=int, default=1)
+    chaos.add_argument("--count", type=_positive_int, default=400)
+    chaos.add_argument("--preload", type=_non_negative_int, default=32)
+    chaos.add_argument("--threads", type=_positive_int, default=1)
     chaos.add_argument(
         "--metrics", action="store_true",
         help="also print the gateway metrics snapshot",
@@ -234,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
              "durability faults are survivable)",
     )
     chaos.add_argument(
-        "--kills", type=int, default=None,
+        "--kills", type=_non_negative_int, default=None,
         help="seeded kill-restart faults to inject (default 3 when "
              "--durability or --backend is given, else 0)",
     )
@@ -251,12 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
              "usual storm",
     )
     chaos.add_argument(
-        "--replicas", type=int, default=1,
+        "--replicas", type=_non_negative_int, default=1,
         help="with --topology: followers per shard (reads are served "
              "from followers as tagged 203s)",
     )
     chaos.add_argument(
-        "--staleness-bound", type=int, default=16,
+        "--staleness-bound", type=_non_negative_int, default=16,
         help="with --topology: the maximum acked-ops lag a follower "
              "read may serve",
     )
@@ -275,17 +252,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _positive_int(text: str) -> int:
-    """argparse ``type`` for counts that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text!r}"
-        )
-    return value
+def _int_at_least(minimum: int, kind: str):
+    """An argparse ``type`` for integers of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be a {kind} integer, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 class _BadInput(Exception):
@@ -447,82 +432,46 @@ def _command_experiments(args, out) -> int:
     return 0
 
 
+#: ``cluster-bench`` mode -> the call that runs it (``cluster`` is the
+#: ``repro.cluster`` package, looked up at call time).
+_BENCH_MODES = {
+    "smoke": lambda cluster, args: cluster.run_smoke(
+        shard_count=args.shards, seed=args.seed,
+    ),
+    "hotpath": lambda cluster, args: cluster.run_hotpath_bench(
+        shard_count=args.shards, seed=args.seed,
+    ),
+    "validate": lambda cluster, args: cluster.run_validation_bench(
+        seed=args.seed,
+    ),
+    "dqtelemetry": lambda cluster, args: cluster.run_dqtelemetry_bench(
+        shard_count=args.shards, seed=args.seed,
+    ),
+    "durability": lambda cluster, args: cluster.run_durability_bench(
+        shard_count=args.shards, records=args.records,
+        backend=args.backend, seed=args.seed,
+    ),
+    "replication": lambda cluster, args: cluster.run_replication_bench(
+        shard_count=max(2, min(args.shards, 4)), seed=args.seed,
+    ),
+    "columnar": lambda cluster, args: cluster.run_columnar_bench(
+        seed=args.seed,
+    ),
+}
+
+
 def _command_cluster_bench(args, out) -> int:
-    from repro.cluster import (
-        run_columnar_bench,
-        run_comparison,
-        run_dqtelemetry_bench,
-        run_durability_bench,
-        run_hotpath_bench,
-        run_replication_bench,
-        run_smoke,
-        run_validation_bench,
-    )
+    import repro.cluster as cluster
 
-    if args.columnar:
-        columnar = run_columnar_bench(
-            seed=args.seed, json_path=args.json,
-        )
-        print(columnar.render(), file=out)
-        if args.json:
+    if args.mode is not None:
+        result = _BENCH_MODES[args.mode](cluster, args)
+        print(result.render(), file=out)
+        if args.json and args.mode != "smoke":
+            result.write_json(args.json)
             print(f"wrote {args.json}", file=out)
-        return 0 if columnar.passed else 1
-    if args.replication:
-        replication = run_replication_bench(
-            shard_count=max(2, min(args.shards, 4)), seed=args.seed,
-            json_path=args.json,
-        )
-        print(replication.render(), file=out)
-        if args.json:
-            print(f"wrote {args.json}", file=out)
-        return 0 if replication.passed else 1
-    if args.durability:
-        durability = run_durability_bench(
-            shard_count=args.shards, records=args.records,
-            backend=args.backend, seed=args.seed, json_path=args.json,
-        )
-        print(durability.render(), file=out)
-        if args.json:
-            print(f"wrote {args.json}", file=out)
-        return 0 if durability.passed else 1
-    if args.dqtelemetry:
-        telemetry = run_dqtelemetry_bench(
-            shard_count=args.shards, seed=args.seed, json_path=args.json,
-        )
-        print(telemetry.render(), file=out)
-        if args.json:
-            print(f"wrote {args.json}", file=out)
-        return 0 if telemetry.passed else 1
-    if args.hotpath:
-        hotpath = run_hotpath_bench(
-            shard_count=args.shards, seed=args.seed, json_path=args.json,
-        )
-        print(hotpath.render(), file=out)
-        if args.json:
-            print(f"wrote {args.json}", file=out)
-        return 0
-    if args.validate:
-        validation = run_validation_bench(
-            seed=args.seed, json_path=args.json,
-        )
-        print(validation.render(), file=out)
-        if args.json:
-            print(f"wrote {args.json}", file=out)
-        return 0 if validation.passed else 1
-    if args.smoke:
-        smoke = run_smoke(shard_count=args.shards, seed=args.seed)
-        print(smoke.render(), file=out)
-        # one grep-able verdict line: CI logs tail this
-        if smoke.failures:
-            print(
-                f"smoke: FAIL — first violated floor: {smoke.failures[0]}",
-                file=out,
-            )
-        else:
-            print("smoke: PASS — every floor met", file=out)
-        return 0 if smoke.passed else 1
+        return 0 if result.passed else 1
 
-    result = run_comparison(
+    result = cluster.run_comparison(
         shard_count=args.shards,
         count=args.count,
         preload=args.preload,

@@ -22,16 +22,11 @@ harness.
 """
 
 from .bench import (
-    ColumnarBenchResult,
+    BenchReport,
     ComparisonResult,
     ComparisonRow,
-    DQTelemetryBenchResult,
-    DurabilityBenchResult,
-    HotpathResult,
     HotpathRow,
-    ReplicationBenchResult,
     SmokeResult,
-    ValidationBenchResult,
     run_columnar_bench,
     run_comparison,
     run_dqtelemetry_bench,
@@ -94,20 +89,18 @@ from .topology import (
 )
 
 __all__ = [
+    "BenchReport",
     "CACHE_FILL",
     "CHAOS_MIX",
     "CRASH",
     "CacheStats",
     "ChaosResult",
     "CircuitBreaker",
-    "ColumnarBenchResult",
     "ComparisonResult",
     "ComparisonRow",
     "DEFAULT_VNODES",
-    "DQTelemetryBenchResult",
     "DROP",
     "DUPLICATE",
-    "DurabilityBenchResult",
     "FAILOVER",
     "FaultInjector",
     "FaultPlan",
@@ -115,7 +108,6 @@ __all__ = [
     "GatewayMetrics",
     "GatewayRoute",
     "HashRing",
-    "HotpathResult",
     "HotpathRow",
     "IdempotencyRegistry",
     "KILL",
@@ -129,7 +121,6 @@ __all__ = [
     "REPLICA_LAG",
     "ReadThroughCache",
     "ReplicaSet",
-    "ReplicationBenchResult",
     "ReplicationLog",
     "ResilienceConfig",
     "RetryPolicy",
@@ -143,7 +134,6 @@ __all__ = [
     "ShardedGateway",
     "SmokeResult",
     "TopologyChaosResult",
-    "ValidationBenchResult",
     "WorkloadSpec",
     "cluster_state",
     "easychair_spec",

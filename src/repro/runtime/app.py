@@ -77,7 +77,6 @@ class WebApp:
         self,
         name: str,
         clock: Optional[Clock] = None,
-        compiled: bool = True,
         plan_cache: Optional[PlanCache] = None,
         persistence: Optional[PersistenceBackend] = None,
     ):
@@ -98,15 +97,9 @@ class WebApp:
         self._forms: dict[str, Form] = {}
         self._required_fields: dict[str, tuple] = {}
         self._metadata_captures: dict[str, tuple] = {}
-        # compiled=False is the escape hatch: every form validates via
-        # the legacy interpreted walk instead of fused plans.  A shared
-        # plan_cache (e.g. one cache across all shards of a gateway)
-        # lets identical chains compile once fleet-wide.
-        self.compiled = compiled
-        self.plan_cache = (
-            plan_cache if plan_cache is not None
-            else (PlanCache() if compiled else None)
-        )
+        # A shared plan_cache (e.g. one cache across all shards of a
+        # gateway) lets identical chains compile once fleet-wide.
+        self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self.validation = ValidationStats()
 
     # -- configuration (what codegen emits) ----------------------------------
@@ -147,9 +140,7 @@ class WebApp:
             raise ValueError(
                 f"form {form.name!r} targets unknown entity {form.entity!r}"
             )
-        form.compiled = self.compiled
-        if self.compiled:
-            form.use_plan_cache(self.plan_cache)
+        form.use_plan_cache(self.plan_cache)
         form.set_metadata_attributes(
             self._metadata_captures.get(form.entity, ())
         )
@@ -353,21 +344,7 @@ class WebApp:
                 f"{len(record_ids)} record id(s) for {len(records)} record(s)"
             )
         result = BatchResult()
-        if not self.compiled:
-            for index, record in enumerate(records):
-                pinned = record_ids[index] if record_ids is not None else None
-                try:
-                    stored = self.submit(
-                        form_name, record, user, record_id=pinned
-                    )
-                except DataQualityViolation as exc:
-                    result.rejected.append((index, exc.findings))
-                except AuthorizationError as exc:
-                    result.unauthorized.append((index, str(exc)))
-                else:
-                    result.accepted.append((index, stored.record_id))
-            return result
-        # compiled: one vectorized validate_batch over the whole chunk
+        # One vectorized validate_batch over the whole chunk
         # (the records were just bound, so the plan may skip its layout
         # check), then ONE authorization check and ONE ``store_many``
         # trip for every valid row — same per-row stamps and audit

@@ -90,21 +90,19 @@ def spec_to_validator(spec: MObject) -> Optional[Validator]:
 def build_app(
     design_model: MObject,
     clock: Optional[Clock] = None,
-    compiled: bool = True,
     plan_cache=None,
     persistence=None,
 ) -> WebApp:
     """Assemble the full DQ-aware application from a design model.
 
-    ``compiled=False`` is the escape hatch back to the interpreted
-    validator walk; ``plan_cache`` shares one compiled-plan cache across
-    many apps (the sharded gateway passes one cache for all shards, so
-    identical chains compile exactly once).  ``persistence`` plugs a
-    durable backend (:mod:`repro.persistence`) under the stores; the
-    default stays fully in-memory.
+    ``plan_cache`` shares one compiled-plan cache across many apps (the
+    sharded gateway passes one cache for all shards, so identical chains
+    compile exactly once).  ``persistence`` plugs a durable backend
+    (:mod:`repro.persistence`) under the stores; the default stays fully
+    in-memory.
     """
     app = WebApp(
-        design_model.name, clock=clock, compiled=compiled,
+        design_model.name, clock=clock,
         plan_cache=plan_cache, persistence=persistence,
     )
     for entity in design_model.entities:

@@ -7,9 +7,9 @@ before the write is accepted — exactly the role the paper gives the
 ``check_precision()`` in Fig. 7.
 
 Validation runs through a fused :class:`~repro.runtime.vpipeline.CompiledPlan`
-by default (see :mod:`repro.runtime.vpipeline`); set :attr:`Form.compiled`
-to ``False`` to take the legacy interpreted walk instead.  Both paths
-produce byte-identical findings — the equivalence is property-tested.
+(see :mod:`repro.runtime.vpipeline`).  :meth:`Form._validate_legacy`, the
+interpreted validator walk, is the plan's reference oracle: tests and the
+validation bench check that both produce byte-identical findings.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class Form:
         # plan.  The lock guards redefinition + memoization; the serving
         # fast path reads (plan, version) without it — both are simple
         # attribute loads and a torn read only costs a recompile.
-        self.compiled = True
         self._plan_cache = None
         self._metadata_attributes: tuple = ()
         self._plan = None
@@ -139,9 +138,7 @@ class Form:
         data through — its failure becomes a finding and the write is
         rejected, never silently accepted.
         """
-        if self.compiled:
-            return self.compiled_plan().findings(record)
-        return self._validate_legacy(record)
+        return self.compiled_plan().findings(record)
 
     def _validate_legacy(self, record: dict) -> list[Finding]:
         """The interpreted walk — the compiled plan's oracle."""
@@ -178,15 +175,11 @@ class Form:
         :meth:`~repro.runtime.storage.EntityStore.revalidate` runs it
         against write-time zone maps.
         """
-        if self.compiled:
-            return self.compiled_plan().check_batch(records, prebound)
-        return [self._validate_legacy(record) for record in records]
+        return self.compiled_plan().check_batch(records, prebound)
 
     def admit(self, record: dict) -> bool:
         """Fail-fast boolean admission (no findings materialized)."""
-        if self.compiled:
-            return self.compiled_plan().admit(record)
-        return not self._validate_legacy(record)
+        return self.compiled_plan().admit(record)
 
     def __repr__(self) -> str:
         return (

@@ -9,13 +9,20 @@ miss — a real regression, not a loaded machine — fails the suite.
 """
 
 import io
+import json
 import random
 
 import pytest
 
 from repro.casestudy import easychair
 from repro.cli import main
-from repro.cluster import LoadGenerator, ShardedGateway, run_dqtelemetry_bench
+from repro.cluster import (
+    BenchReport,
+    HotpathRow,
+    LoadGenerator,
+    ShardedGateway,
+    run_dqtelemetry_bench,
+)
 
 pytestmark = pytest.mark.dqbench
 
@@ -46,8 +53,8 @@ def test_floors_hold_at_smoke_scale():
     print()
     print(result.render())
     assert result.passed, "\n".join(result.floor_failures())
-    assert result.equivalence_diffs == 0
-    assert result.telemetry["records"] > 0
+    assert result.values["equivalence_diffs"] == 0
+    assert result.details["telemetry"]["records"] > 0
 
 
 def test_batched_submit_ticks_accumulators_once_per_chunk():
@@ -83,16 +90,30 @@ def test_batched_submit_ticks_accumulators_once_per_chunk():
         gateway.close()
 
 
-def test_cli_dqtelemetry_mode(monkeypatch, tmp_path):
+def telemetry_report(write_overhead: float = 0.04) -> BenchReport:
+    """A constructed dqtelemetry report: floors checked without a run."""
+    return BenchReport(
+        "dqtelemetry", "dq telemetry bench", 23,
+        [HotpathRow("scorecard live", 40, 0.01, [0.00025] * 40)],
+        {
+            "scorecard_live_vs_rescan": 250.0,
+            "suggest_live_vs_rescan": 20.0,
+            "write_overhead": write_overhead,
+            "equivalence_checks": 9,
+            "equivalence_diffs": 0,
+        },
+        {"telemetry": {"records": 40}},
+    )
+
+
+def run_cli(monkeypatch, tmp_path, report):
     import repro.cluster
 
     captured = {}
 
-    def fake_bench(shard_count, seed, json_path):
-        captured.update(
-            shard_count=shard_count, seed=seed, json_path=json_path
-        )
-        return small_bench()
+    def fake_bench(shard_count, seed):
+        captured.update(shard_count=shard_count, seed=seed)
+        return report
 
     monkeypatch.setattr(repro.cluster, "run_dqtelemetry_bench", fake_bench)
     out = io.StringIO()
@@ -101,13 +122,30 @@ def test_cli_dqtelemetry_mode(monkeypatch, tmp_path):
         ["cluster-bench", "--dqtelemetry", "--json", str(json_path)],
         out=out,
     )
-    assert code == 0
-    assert captured == {
-        "shard_count": 4, "seed": 23, "json_path": str(json_path),
-    }
+    assert captured == {"shard_count": 4, "seed": 23}
     rendered = out.getvalue()
     assert "dq telemetry bench" in rendered
     assert f"wrote {json_path}" in rendered
+    return code, rendered, json.loads(json_path.read_text())
+
+
+def test_cli_dqtelemetry_mode(monkeypatch, tmp_path):
+    code, rendered, report = run_cli(monkeypatch, tmp_path, telemetry_report())
+    assert code == 0
+    assert "dqtelemetry floors met" in rendered
+    assert report["benchmark"] == "dqtelemetry"
+    assert report["floors"]["met"] is True
+
+
+def test_cli_dqtelemetry_mode_exits_one_on_a_missed_floor(
+    monkeypatch, tmp_path
+):
+    code, rendered, report = run_cli(
+        monkeypatch, tmp_path, telemetry_report(write_overhead=0.11)
+    )
+    assert code == 1
+    assert "floor write_overhead: 0.110 <= 0.100 — MISSED" in rendered
+    assert report["floors"]["met"] is False
 
 
 def test_smoke_report_includes_telemetry_floors():
@@ -118,14 +156,13 @@ def test_smoke_report_includes_telemetry_floors():
             return "comparison table"
 
     result = SmokeResult(
-        comparison=StubComparison(), attempts=1, passed=True, failures=[],
-        min_speedup=2.0, min_retention=0.5,
-        dqtelemetry=small_bench(),
+        comparison=StubComparison(), reports=[telemetry_report()],
+        attempts=1,
     )
-    rendered = "\n".join(
-        line for line in result.render().splitlines()
-        if "dq telemetry floors" in line
+    rendered = result.render()
+    assert "floor scorecard_live_vs_rescan: 250.000 >= 10.000 — met" in (
+        rendered
     )
-    assert "x rescan (>= 10.0x)" in rendered
-    assert "write overhead" in rendered
-    assert "diff(s)" in rendered
+    assert "floor write_overhead: 0.040 <= 0.100 — met" in rendered
+    assert "floor equivalence_diffs: 0 <= 0 — met" in rendered
+    assert "  equivalence_checks: 9" in rendered

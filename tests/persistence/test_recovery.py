@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.casestudy import easychair
-from repro.cluster.bench import LoadGenerator
+from repro.cluster.loadgen import LoadGenerator
 from repro.persistence import apply_op, capture_state, recover_app
 from repro.persistence.backend import MemoryBackend
 from repro.runtime.dqengine import build_app

@@ -264,42 +264,30 @@ class TestFormPlanLifecycle:
         record = {"score": None}
         assert form.validate(record) == form._validate_legacy(record)
 
-    def test_compiled_false_is_the_escape_hatch(self):
-        form = make_form(full_chain())
-        form.compiled = False
-        record = {"score": 99}
-        assert form.validate(record) == form._validate_legacy(record)
-        assert form.validate_batch([record]) == [form._validate_legacy(record)]
-
 
 class TestWebAppPipeline:
     def test_compiled_and_interpreted_apps_agree(self):
+        """Every ``app.submit`` outcome — accepted, or rejected with its
+        findings — matches the interpreted walk on the same payload."""
         from repro.core.errors import DataQualityViolation
-        from repro.runtime.dqengine import build_app
 
         payloads = [easychair.complete_review() for _ in range(3)]
         payloads[1]["overall_evaluation"] = 99
         payloads[2]["email_address"] = "  "
+        app = easychair.build_app(Clock())
+        form = app.form(FORM)
 
-        compiled_app = easychair.build_app(Clock())
-        legacy_app = build_app(
-            easychair.build_design(), Clock(), compiled=False
-        )
-        for name, level, roles in easychair.USERS:
-            legacy_app.add_user(name, level, roles)
-        assert not legacy_app.form(FORM).compiled
-
-        def outcome(app, payload):
+        rejected = []
+        for payload in payloads:
+            expected = form._validate_legacy(form.bind(payload))
             try:
                 app.submit(FORM, dict(payload), "pc_member_1")
-                return ("accepted",)
+                findings = []
             except DataQualityViolation as exc:
-                return ("rejected", exc.findings)
-
-        for payload in payloads:
-            assert outcome(compiled_app, payload) == outcome(
-                legacy_app, payload
-            )
+                findings = exc.findings
+            assert findings == expected
+            rejected.append(bool(findings))
+        assert rejected == [False, True, True]
 
     def test_submit_batch_matches_per_record_submits(self):
         from repro.core.errors import DataQualityViolation

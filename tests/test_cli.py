@@ -225,6 +225,43 @@ class TestClusterBench:
         assert "of healthy throughput retained" in text
 
 
+    @pytest.mark.parametrize("held", [True, False])
+    @pytest.mark.parametrize("mode, runner, extra, expected", [
+        ("hotpath", "run_hotpath_bench", [],
+         {"shard_count": 4, "seed": 23}),
+        ("validate", "run_validation_bench", [], {"seed": 23}),
+        ("dqtelemetry", "run_dqtelemetry_bench", ["--shards", "2"],
+         {"shard_count": 2, "seed": 23}),
+        ("durability", "run_durability_bench",
+         ["--backend", "sqlite", "--records", "50"],
+         {"shard_count": 4, "records": 50, "backend": "sqlite", "seed": 23}),
+        ("replication", "run_replication_bench", ["--shards", "8"],
+         {"shard_count": 4, "seed": 23}),
+        ("columnar", "run_columnar_bench", ["--seed", "5"], {"seed": 5}),
+    ])
+    def test_bench_modes_dispatch_and_exit_one_on_a_missed_floor(
+        self, monkeypatch, mode, runner, extra, expected, held
+    ):
+        import repro.cluster
+        from repro.cluster import BenchReport
+
+        captured = {}
+
+        def fake_runner(**kwargs):
+            captured.update(kwargs)
+            return BenchReport(
+                "comparison", "stub bench", 23, [],
+                {"cached_vs_baseline": 2.0 if held else 1.9,
+                 "faulted_retention": 0.5},
+            )
+
+        monkeypatch.setattr(repro.cluster, runner, fake_runner)
+        code, text = run_cli("cluster-bench", f"--{mode}", *extra)
+        assert captured == expected
+        assert code == (0 if held else 1)
+        assert "floor cached_vs_baseline: " in text
+
+
 class TestChaos:
     def test_clean_run_reports_zero_violations_and_exits_zero(self):
         code, text = run_cli(
@@ -269,6 +306,35 @@ class TestBadInput:
             capsys, ["cluster-bench", "--shards", "0"],
             "--shards", "must be a positive integer",
         )
+
+    @pytest.mark.parametrize("argv, fragments", [
+        (["cluster-bench", "--count", "0"], ["--count", "positive"]),
+        (["cluster-bench", "--threads", "0"], ["--threads", "positive"]),
+        (["cluster-bench", "--durability", "--records", "0"],
+         ["--records", "positive"]),
+        (["cluster-bench", "--preload", "-1"], ["--preload", "non-negative"]),
+        (["cluster-bench", "--cache-capacity", "-3"],
+         ["--cache-capacity", "must be a non-negative integer, got '-3'"]),
+        (["cluster-bench", "--validate", "--columnar"],
+         ["--columnar", "not allowed with argument --validate"]),
+        (["cluster-bench", "--smoke", "--hotpath"],
+         ["--hotpath", "not allowed with argument --smoke"]),
+        (["chaos", "--count", "0"], ["--count", "positive"]),
+        (["chaos", "--threads", "0"], ["--threads", "positive"]),
+        (["chaos", "--preload", "-1"], ["--preload", "non-negative"]),
+        (["chaos", "--kills", "-1"], ["--kills", "non-negative"]),
+        (["chaos", "--topology", "--replicas", "-1"],
+         ["--replicas", "non-negative"]),
+        (["chaos", "--topology", "--staleness-bound", "-1"],
+         ["--staleness-bound", "non-negative"]),
+        (["chaos", "--count", "many"],
+         ["--count", "must be a positive integer, got 'many'"]),
+    ])
+    def test_out_of_range_numbers_and_clashing_modes(
+        self, capsys, argv, fragments
+    ):
+        err = self.assert_usage_error(capsys, argv, *fragments)
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", [
         "validate", "transform", "codegen", "srs", "assess", "diff",
