@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo = commands.add_parser(
         "demo", help="run the EasyChair case study comparison"
     )
-    demo.add_argument("--count", type=int, default=200)
+    demo.add_argument("--count", type=_positive_int, default=200)
     demo.add_argument("--seed", type=int, default=7)
 
     srs = commands.add_parser(
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments",
         help="re-run the measured experiments (the EXPERIMENTS.md numbers)",
     )
-    experiments.add_argument("--count", type=int, default=300)
+    experiments.add_argument("--count", type=_positive_int, default=300)
     experiments.add_argument("--seed", type=int, default=42)
 
     cluster_bench = commands.add_parser(

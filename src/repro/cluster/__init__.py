@@ -3,7 +3,7 @@
 **Beyond the paper.**  DQ_WebRE ends at a single generated web application
 (the EasyChair case study); this package is our scaling extension: a
 :class:`~repro.cluster.gateway.ShardedGateway` fronting N ``WebApp``
-shards with deterministic key routing, per-shard locking, a
+shards with consistent-hash key routing, per-shard locking, a
 confidentiality-aware read-through cache, backpressure (429/503), gateway
 metrics, and a deterministic load generator for tests and benchmarks.
 
@@ -78,10 +78,8 @@ from .resilience import (
     ShardUnavailable,
     run_chaos,
 )
-from .ring import DEFAULT_VNODES, HashRing, RingRouter, moved_fraction
-from .sharding import ShardRouter, fnv1a
+from .ring import DEFAULT_VNODES, HashRing, RingRouter, fnv1a, moved_fraction
 from .topology import (
-    RingGateway,
     TopologyChaosResult,
     cluster_state,
     run_topology_chaos,
@@ -124,12 +122,10 @@ __all__ = [
     "ReplicationLog",
     "ResilienceConfig",
     "RetryPolicy",
-    "RingGateway",
     "RingRouter",
     "SOAK_MIX",
     "ShardFailedOver",
     "ShardKilled",
-    "ShardRouter",
     "ShardUnavailable",
     "ShardedGateway",
     "SmokeResult",

@@ -1829,7 +1829,7 @@ def run_replication_bench(
     """
     from repro.casestudy import easychair
 
-    from .topology import RingGateway, cluster_state, run_topology_chaos
+    from .topology import cluster_state, run_topology_chaos
 
     design_model = easychair.build_design()
     spec = LoadGenerator(seed=seed).spec
@@ -1854,8 +1854,8 @@ def run_replication_bench(
         oracle_diffs += 1  # pragma: no cover - would be a topology bug
 
     # -- 2. serving throughput while resharding live ----------------------
-    def ring_gateway() -> RingGateway:
-        return RingGateway.from_design(
+    def ring_gateway() -> ShardedGateway:
+        return ShardedGateway.from_design(
             design_model, shard_count=shard_count, users=easychair.USERS,
             replicas=replicas, staleness_bound=staleness_bound,
             vnodes=vnodes, cache_capacity=0, max_queue_depth=4096,

@@ -10,9 +10,9 @@ shards from a worker thread pool.
 Design in one breath:
 
 * **Placement** — the gateway allocates global record ids and routes every
-  keyed operation with :class:`~repro.cluster.sharding.ShardRouter`
-  (``fnv1a(entity#id) mod N``); listing reads scatter to all shards and
-  gather a merged, id-sorted body.
+  keyed operation with the consistent-hash
+  :class:`~repro.cluster.ring.RingRouter`; listing reads scatter to every
+  live shard and gather a merged, id-sorted body.
 * **Isolation** — each shard is guarded by its own re-entrant lock, so a
   shard's ``WebApp`` only ever sees one request at a time and stays
   internally consistent; different shards serve concurrently.
@@ -23,6 +23,19 @@ Design in one breath:
   :class:`~repro.cluster.cache.ReadThroughCache`; accepted writes bump a
   per-entity data version (and drop the entity's entries), so a stale body
   can never be served after the write was acknowledged.
+* **Replication** — ``replicas=N`` gives every shard N followers fed by
+  the primary's acknowledged op log
+  (:class:`~repro.cluster.replication.ReplicaSet`).  Reads are then
+  served from followers, bypassing the cache, as **203
+  Non-Authoritative** responses carrying the observed lag and the
+  staleness bound; a read never serves lag beyond the bound.  Failover
+  promotes the most caught-up follower with no acknowledged write lost;
+  without followers it degrades to a kill-restart.
+* **Elasticity** — live :meth:`~ShardedGateway.split_shard` /
+  :meth:`~ShardedGateway.merge_shard` stream records donor→recipient in
+  WAL ``adopt``/``retire`` ops while the gateway keeps serving, with
+  per-record routing overrides pinning each record to whichever shard
+  holds it mid-move.
 
 Cross-shard listing is *per-shard consistent*, not a cross-shard snapshot:
 a scatter-gather that races a write may see the write on one shard and not
@@ -44,6 +57,8 @@ from repro.core.errors import (
     VersionConflictError,
 )
 from repro.dq.metadata import Clock
+from repro.persistence import op_tick
+from repro.runtime import audit as audit_events
 from repro.runtime.app import WebApp
 from repro.runtime.http import (
     Request,
@@ -53,9 +68,11 @@ from repro.runtime.http import (
     created,
     degraded,
     forbidden,
+    malformed_body,
     method_not_allowed,
     not_found,
     ok,
+    replica_read,
     too_many_requests,
     unavailable,
     unprocessable,
@@ -63,6 +80,7 @@ from repro.runtime.http import (
 
 from .cache import LastGoodStore, ReadThroughCache
 from .metrics import GatewayMetrics
+from .replication import ReplicaSet, ReplicationLog
 from .resilience import (
     CACHE_FILL,
     CircuitBreaker,
@@ -78,7 +96,10 @@ from .resilience import (
     TaskDropped,
     TransientShardFault,
 )
-from .sharding import ShardRouter
+from .ring import DEFAULT_VNODES, HashRing, RingRouter
+
+#: Default follower-read staleness bound (acked-but-unapplied ops).
+DEFAULT_STALENESS_BOUND = 16
 
 
 @dataclass(frozen=True)
@@ -116,7 +137,9 @@ class ShardedGateway:
     design model.  ``cache_capacity=0`` disables the read cache;
     ``max_queue_depth`` bounds admitted-but-unfinished dispatches before
     429s start; ``workers`` sizes the dispatch pool (default: one per
-    shard).
+    shard).  ``vnodes`` sizes each shard's share of the hash ring;
+    ``replicas`` followers per shard (attached by :meth:`from_design`)
+    serve reads lagging at most ``staleness_bound`` acked ops.
     """
 
     def __init__(
@@ -128,6 +151,9 @@ class ShardedGateway:
         fault_plan: Optional[FaultPlan] = None,
         resilience: Optional[ResilienceConfig] = None,
         write_batch_max: int = 32,
+        replicas: int = 0,
+        staleness_bound: int = DEFAULT_STALENESS_BOUND,
+        vnodes: int = DEFAULT_VNODES,
     ):
         if not shards:
             raise ValueError("a gateway needs at least one shard")
@@ -135,6 +161,10 @@ class ShardedGateway:
             raise ValueError("max_queue_depth must be >= 1")
         if write_batch_max < 1:
             raise ValueError("write_batch_max must be >= 1")
+        if replicas < 0:
+            raise ValueError("replicas must be >= 0")
+        if staleness_bound < 0:
+            raise ValueError("staleness_bound must be >= 0")
         self.shards = list(shards)
         self.write_batch_max = write_batch_max
         # form→entity and user→clearance are static once the shards are
@@ -148,7 +178,7 @@ class ShardedGateway:
             account.name: account.level
             for account in self.shards[0].users.accounts()
         }
-        self.router = ShardRouter(len(self.shards))
+        self.router = RingRouter(len(self.shards), vnodes=vnodes)
         self.cache = ReadThroughCache(cache_capacity)
         self.metrics = GatewayMetrics(len(self.shards))
         self.max_queue_depth = max_queue_depth
@@ -168,6 +198,26 @@ class ShardedGateway:
         # without one, injected kills degrade to plain crashes.
         self._shard_factory = None
         self.shard_restarts = [0] * len(self.shards)
+        # Replication: ``from_design`` sets the follower factory and one
+        # ReplicaSet per shard; a fleet without followers keeps ``None``
+        # in every slot.
+        self.replicas = replicas
+        self.staleness_bound = staleness_bound
+        self.replica_sets: list[Optional[ReplicaSet]] = (
+            [None] * len(self.shards)
+        )
+        self._follower_factory = None
+        self._topology_lock = threading.RLock()
+        self._lag_lock = threading.Lock()
+        self._lag_inhibit = [False] * len(self.shards)
+        # deterministic counters the topology chaos report renders
+        self.splits = 0
+        self.merges = 0
+        self.migrated = 0
+        self.failovers = 0
+        self.replica_reads = 0
+        self.stale_serves = 0
+        self.max_served_lag = 0
         # -- resilience layer: injected faults must be survivable --------
         if fault_plan is not None and resilience is None:
             resilience = ResilienceConfig()
@@ -177,21 +227,8 @@ class ShardedGateway:
         )
         self._op_tokens = itertools.count(1)
         if resilience is not None:
-            clock = (
-                self.fault_injector.clock
-                if self.fault_injector is not None else None
-            )
             self._breakers: Optional[list[CircuitBreaker]] = [
-                CircuitBreaker(
-                    failure_threshold=resilience.breaker_failure_threshold,
-                    cooldown=resilience.breaker_cooldown,
-                    clock=clock,
-                    on_transition=(
-                        lambda origin, to, shard=index:
-                        self.metrics.observe_breaker(shard, origin, to)
-                    ),
-                )
-                for index in range(len(self.shards))
+                self._new_breaker(index) for index in range(len(self.shards))
             ]
             self._idempotency: Optional[IdempotencyRegistry] = (
                 IdempotencyRegistry(resilience.idempotency_capacity)
@@ -204,6 +241,21 @@ class ShardedGateway:
             self._idempotency = None
             self._last_good = None
 
+    def _new_breaker(self, shard_index: int) -> CircuitBreaker:
+        clock = (
+            self.fault_injector.clock
+            if self.fault_injector is not None else None
+        )
+        return CircuitBreaker(
+            failure_threshold=self.resilience.breaker_failure_threshold,
+            cooldown=self.resilience.breaker_cooldown,
+            clock=clock,
+            on_transition=(
+                lambda origin, to, shard=shard_index:
+                self.metrics.observe_breaker(shard, origin, to)
+            ),
+        )
+
     # -- assembly ---------------------------------------------------------
 
     @classmethod
@@ -212,52 +264,55 @@ class ShardedGateway:
         design_model,
         shard_count: int = 4,
         users: Sequence[tuple] = (),
-        baseline: bool = False,
         persistence=None,
+        replicas: int = 0,
         **gateway_options,
     ) -> "ShardedGateway":
         """Build ``shard_count`` identical shards from a design model.
 
         ``users`` are ``(name, level, roles)`` triples registered on every
         shard (reads broadcast, so each shard must know every account).
-        ``baseline=True`` builds no-DQ shards — the comparison harness.
         ``persistence`` is a per-shard backend factory
         (:func:`repro.persistence.persistence_factory`): each shard gets
         ``persistence(index)`` as its durable store and is **recovered
         from it** at build time, so constructing a gateway over an
         existing data directory resumes where the last process stopped.
+        With ``replicas`` >= 1 every shard's backend (or, without one, a
+        pure in-memory log) is wrapped in a :class:`ReplicationLog`, so
+        its followers always have an acknowledged op stream to pull.
         """
         from repro.persistence import recover_app
-        from repro.runtime.dqengine import build_app, build_baseline_app
+        from repro.runtime.dqengine import build_app
         from repro.runtime.vpipeline import PlanCache
 
-        if baseline:
-            def make_shard(index: int) -> WebApp:
-                app = build_baseline_app(design_model, clock=Clock())
-                for name, level, roles in users:
-                    app.add_user(name, level, roles)
-                return app
-        else:
-            # all shards run identical chains: one shared plan cache
-            # means each chain compiles exactly once fleet-wide
-            plan_cache = PlanCache()
+        # all shards run identical chains: one shared plan cache means
+        # each chain compiles exactly once fleet-wide
+        plan_cache = PlanCache()
 
-            def make_shard(index: int) -> WebApp:
-                backend = (
-                    persistence(index) if persistence is not None else None
+        def make_app(backend=None, cache=plan_cache) -> WebApp:
+            app = build_app(
+                design_model, clock=Clock(), plan_cache=cache,
+                persistence=backend,
+            )
+            for name, level, roles in users:
+                app.add_user(name, level, roles)
+            return app
+
+        def make_shard(index: int) -> WebApp:
+            backend = persistence(index) if persistence is not None else None
+            if replicas:
+                backend = ReplicationLog(
+                    backend,
+                    None if persistence is None
+                    else lambda: persistence(index),
                 )
-                app = build_app(
-                    design_model, clock=Clock(), plan_cache=plan_cache,
-                    persistence=backend,
-                )
-                for name, level, roles in users:
-                    app.add_user(name, level, roles)
-                if backend is not None and backend.durable:
-                    recover_app(app, backend)
-                return app
+            app = make_app(backend)
+            if backend is not None and backend.durable:
+                recover_app(app, backend)
+            return app
 
         shards = [make_shard(index) for index in range(shard_count)]
-        gateway = cls(shards, **gateway_options)
+        gateway = cls(shards, replicas=replicas, **gateway_options)
         gateway._shard_factory = make_shard
         if persistence is not None:
             # the router's global id counters must resume past every
@@ -268,6 +323,15 @@ class ShardedGateway:
                     top = shard.store.entity(entity_name).high_water_id()
                     if top:
                         gateway.router.observe_id(entity_name, top)
+        if replicas:
+            # followers are structurally identical apps with no durable
+            # backend of their own — they replay the primary's log, so
+            # confidentiality buckets, indexes and telemetry are rebuilt
+            # by the same restore paths crash recovery uses
+            follower_cache = PlanCache()
+            gateway._follower_factory = lambda: make_app(cache=follower_cache)
+            for index, shard in enumerate(shards):
+                gateway.replica_sets[index] = gateway._new_replica_set(shard)
         for route in design_model.routes:
             if route.kind == "create":
                 gateway.expose_create(route.path, route.form.name)
@@ -281,6 +345,15 @@ class ShardedGateway:
             elif route.kind == "view":
                 gateway.expose_view(route.path, route.entity.name)
         return gateway
+
+    def _new_replica_set(self, primary: WebApp) -> ReplicaSet:
+        replica_set = ReplicaSet(
+            self._follower_factory, primary.persistence, count=self.replicas
+        )
+        # covers the recovered-from-disk case: followers start from the
+        # primary's snapshot at the acked watermark
+        replica_set.seed_from(primary)
+        return replica_set
 
     def expose_create(self, path: str, form_name: str) -> "ShardedGateway":
         self._routes.append(GatewayRoute("create", "POST", path, form_name))
@@ -354,12 +427,6 @@ class ShardedGateway:
             for shard in self.shards
         )
 
-    def _scorecard_apps(self) -> Sequence[WebApp]:
-        """The apps :meth:`live_scorecard` reads from — the shards here;
-        the replicated gateway overrides this to serve scorecards from
-        caught-up followers instead of the primaries."""
-        return self.shards
-
     def live_scorecard(
         self,
         entity: str,
@@ -379,7 +446,9 @@ class ShardedGateway:
         Line-for-line equivalent to :meth:`rescan_scorecard` — exactly
         for Precision, Traceability and Confidentiality, to float
         tolerance for Completeness and Currentness.  ``None`` when
-        telemetry is disabled on any shard.
+        telemetry is disabled on any shard.  A shard with followers is
+        read from its caught-up follower (honoring a pending lag window)
+        instead of its primary.
         """
         from repro.dq.metrics import in_bounds
         from repro.dq.scorecard import ScoreLine
@@ -390,7 +459,11 @@ class ShardedGateway:
         )
         policy = self.shards[0].policies.for_entity(entity)
         level = policy.security_level
-        apps = self._scorecard_apps()
+        apps = list(self.shards)
+        for index, replica_set in enumerate(self.replica_sets):
+            if replica_set is not None:
+                self._refresh_followers(index, apps[index])
+                apps[index] = replica_set.follower()
         readings = []
         for shard in apps:
             now = shard.clock.peek()
@@ -712,8 +785,10 @@ class ShardedGateway:
         The shard lock is taken first, so no call is mid-apply when the
         process "dies": everything already acknowledged was group-committed
         and survives; whatever sat unsynced in the WAL buffer is lost,
-        exactly like a real crash.  With no shard factory the kill cannot
-        be followed by a restart, so it degrades to a plain crash fault.
+        exactly like a real crash.  The shard's followers are re-pointed
+        at the replacement and re-seeded from it.  With no shard factory
+        the kill cannot be followed by a restart, so it degrades to a
+        plain crash fault.
         """
         if self._shard_factory is None:
             raise ShardCrashed(
@@ -724,26 +799,55 @@ class ShardedGateway:
             persistence = getattr(app, "persistence", None)
             if persistence is not None:
                 persistence.kill()
-            self.shards[shard_index] = self._shard_factory(shard_index)
+            restarted = self._shard_factory(shard_index)
+            self.shards[shard_index] = restarted
             self.shard_restarts[shard_index] += 1
+            replica_set = self.replica_sets[shard_index]
+            if replica_set is not None:
+                replica_set.rebind(restarted.persistence)
+                replica_set.seed_from(restarted)
 
     def restart_shard(self, shard_index: int) -> None:
         """Deliberately kill-and-restart one shard (durability drills)."""
         self._kill_and_restart(shard_index)
 
-    # -- topology-fault hooks (overridden by the replicated gateway) ------
+    def fail_over(self, shard_index: int) -> None:
+        """Lose one primary (an injected FAILOVER, or a drill).
 
-    def _on_failover_fault(self, shard_index: int) -> None:
-        """An injected primary loss.  Without a replication layer there
-        is no follower to promote, so the fault degrades to the kill
-        semantics: restart from durable state (losing unsynced writes),
-        or a plain crash when no shard factory exists."""
-        self._kill_and_restart(shard_index)
+        With followers, the most caught-up one is promoted under the
+        shard lock.  The dead primary's staged-but-unsynced ops are
+        dropped (exactly what a crash loses); everything acked was
+        shipped, so the follower drains the log tail and takes over the
+        primary's durable location with no acknowledged write lost.
+        Without followers there is nothing to promote, so the fault
+        degrades to a kill-restart: the shard restarts from durable
+        state (losing unsynced writes), or empty on a memory backend.
+        """
+        replica_set = self.replica_sets[shard_index]
+        if replica_set is None:
+            self._kill_and_restart(shard_index)
+            return
+        with self._shard_locks[shard_index]:
+            log: ReplicationLog = self.shards[shard_index].persistence
+            log.kill()
+            replica_set.catch_up()
+            promoted, _lead = replica_set.promote()
+            successor = log.successor()
+            promoted.attach_persistence(successor)
+            self.shards[shard_index] = promoted
+            replica_set.rebind(successor)
+            self.shard_restarts[shard_index] += 1
+            with self._lag_lock:
+                self.failovers += 1
 
-    def _on_replica_lag_fault(self, shard_index: int) -> None:
-        """An injected replica-lag window.  Without followers there is
-        nothing to lag; the replicated gateway overrides this to inhibit
-        the shard's next follower catch-up."""
+    def inhibit_catch_up(self, shard_index: int) -> None:
+        """Open a replica-lag window (an injected REPLICA_LAG, or a
+        drill): the shard's next follower read serves whatever the
+        follower already has, within the staleness bound, instead of
+        pulling the log first.  Nothing to lag without followers."""
+        if self.replica_sets[shard_index] is not None:
+            with self._lag_lock:
+                self._lag_inhibit[shard_index] = True
 
     def _apply_once(self, shard_index: int, apply, idempotency_key):
         """One attempt: consult the injector, then apply exactly once.
@@ -768,12 +872,12 @@ class ShardedGateway:
                 # fires before the shard is touched, like a kill: the
                 # task was never half-applied, and the retry loop
                 # re-runs it against the promoted (or restarted) shard
-                self._on_failover_fault(shard_index)
+                self.fail_over(shard_index)
                 raise ShardFailedOver(
                     shard_index, "injected primary loss (failover)"
                 )
             if injection.lag:
-                self._on_replica_lag_fault(shard_index)
+                self.inhibit_catch_up(shard_index)
             if injection.crash:
                 raise ShardCrashed(shard_index, "injected shard crash")
             if injection.latency > self.resilience.operation_timeout:
@@ -1048,87 +1152,364 @@ class ShardedGateway:
         return self._dispatch("modify", (shard_index,), work)
 
     def list(self, entity: str, user: str) -> Response:
-        """Confidentiality-filtered listing: cache hit or scatter-gather."""
+        """Confidentiality-filtered listing: scatter-gather over every live
+        shard — from the read cache on a fleet without followers, as a
+        203 follower read on one with them."""
         if self._closed:
             self.metrics.observe_unavailable()
             return unavailable("gateway is closed")
         base_key = self.cache.list_key(entity, user, self._clearance(user))
         version = self._entity_version(entity)
-        key = base_key + (version,)
-        start = time.perf_counter()
-        cached = self.cache.lookup(key)
-        if cached is not None:
-            self.metrics.observe(
-                "list", (), 200, time.perf_counter() - start
-            )
-            return ok(cached)
+        followers = self._follower_factory is not None
+        if not followers:
+            key = base_key + (version,)
+            start = time.perf_counter()
+            cached = self.cache.lookup(key)
+            if cached is not None:
+                self.metrics.observe(
+                    "list", (), 200, time.perf_counter() - start
+                )
+                return ok(cached)
+
+        def read(app: WebApp, shard_index: int):
+            if followers:
+                return self._follower_list(shard_index, app, entity, user)
+            return app.read(entity, user), 0
 
         def work() -> Response:
             body: list[dict] = []
+            max_lag = 0
             try:
                 for shard_index in self.router.all_shards():
-                    visible = self._call_shard(
+                    visible, lag = self._call_shard(
                         "list", shard_index,
-                        lambda app: app.read(entity, user),
+                        lambda app, shard_index=shard_index:
+                        read(app, shard_index),
                     )
                     body.extend(
                         {"id": s.record_id, "version": s.version, **s.data}
                         for s in visible
                     )
+                    max_lag = max(max_lag, lag)
             except ShardUnavailable as exc:
                 # any shard missing means the gather is incomplete; a
                 # silently partial listing would violate Completeness, so
                 # degrade the WHOLE read (tagged) rather than serve a hole
                 return self._degraded_read("list", entity, base_key, exc)
             body.sort(key=lambda row: row["id"])
-            self._cache_fill(key, body)
-            self._remember_good(base_key, body, version)
-            return ok(body)
+            if not followers:
+                self._cache_fill(key, body)
+                self._remember_good(base_key, body, version)
+                return ok(body)
+            # a record mid-migration can briefly exist on two shards
+            # (adopted by the recipient, retire not yet replayed on a
+            # lagging donor follower) — keep the newest version per id
+            deduped: list[dict] = []
+            for row in body:
+                if deduped and deduped[-1]["id"] == row["id"]:
+                    if row["version"] > deduped[-1]["version"]:
+                        deduped[-1] = row
+                else:
+                    deduped.append(row)
+            self._remember_good(base_key, deduped, version)
+            return replica_read(
+                deduped, lag=max_lag, bound=self.staleness_bound
+            )
 
         return self._dispatch("list", tuple(self.router.all_shards()), work)
 
     def view(self, entity: str, record_id: int, user: str) -> Response:
-        """Single-record read from the record's home shard, cache-assisted."""
+        """Single-record read from the record's home shard — cache-assisted
+        on a fleet without followers, a 203 follower read on one with
+        them."""
         if self._closed:
             self.metrics.observe_unavailable()
             return unavailable("gateway is closed")
         base_key = self.cache.view_key(
             entity, record_id, user, self._clearance(user)
         )
-        version = self._entity_version(entity)
-        key = base_key + (version,)
-        start = time.perf_counter()
-        cached = self.cache.lookup(key)
-        if cached is not None:
-            self.metrics.observe(
-                "view", (), 200, time.perf_counter() - start
-            )
-            return ok(cached)
+        if self._follower_factory is not None:
+            def apply(app: WebApp, shard_index: int) -> Response:
+                return self._follower_view(
+                    shard_index, app, entity, record_id, user
+                )
+        else:
+            version = self._entity_version(entity)
+            key = base_key + (version,)
+            start = time.perf_counter()
+            cached = self.cache.lookup(key)
+            if cached is not None:
+                self.metrics.observe(
+                    "view", (), 200, time.perf_counter() - start
+                )
+                return ok(cached)
+
+            def apply(app: WebApp, shard_index: int) -> Response:
+                response = self._read_record(app, entity, record_id, user)
+                if response.status == 200:
+                    self._cache_fill(key, response.body)
+                    self._remember_good(base_key, response.body, version)
+                return response
+
         shard_index = self.router.shard_for(entity, record_id)
 
-        def apply(app: WebApp) -> Response:
-            try:
-                stored = app.read_record(entity, record_id, user)
-            except AuthorizationError as exc:
-                return forbidden(str(exc))
-            except KeyError:
-                return not_found(f"no record {record_id}")
-            body = {
-                "id": stored.record_id,
-                "version": stored.version,
-                **stored.data,
-            }
-            self._cache_fill(key, body)
-            self._remember_good(base_key, body, version)
-            return ok(body)
-
         def work() -> Response:
-            try:
-                return self._call_shard("view", shard_index, apply)
-            except ShardUnavailable as exc:
-                return self._degraded_read("view", entity, base_key, exc)
+            target = shard_index
+            for _attempt in range(2):
+                try:
+                    response = self._call_shard(
+                        "view", target,
+                        lambda app, target=target: apply(app, target),
+                    )
+                except ShardUnavailable as exc:
+                    return self._degraded_read("view", entity, base_key, exc)
+                if response.status != 404:
+                    return response
+                # a migration may have moved the record between routing
+                # and serving; re-resolve once and retry
+                current = self.router.shard_for(entity, record_id)
+                if current == target:
+                    return response
+                target = current
+            return response
 
         return self._dispatch("view", (shard_index,), work)
+
+    @staticmethod
+    def _read_record(
+        app: WebApp, entity: str, record_id: int, user: str
+    ) -> Response:
+        """One authoritative record read: 200, 403 or 404."""
+        try:
+            stored = app.read_record(entity, record_id, user)
+        except AuthorizationError as exc:
+            return forbidden(str(exc))
+        except KeyError:
+            return not_found(f"no record {record_id}")
+        return ok({
+            "id": stored.record_id, "version": stored.version, **stored.data,
+        })
+
+    # -- follower reads ---------------------------------------------------
+
+    def _refresh_followers(self, shard_index: int, primary: WebApp) -> int:
+        """Catch the shard's followers up (honoring one pending injected
+        lag window) and return the lag a read may serve.
+
+        The staleness bound is enforced here by construction: a lag
+        window only survives when the follower is within the bound —
+        past it the catch-up happens anyway, so no replica read can ever
+        serve more than ``staleness_bound`` acked-but-unapplied ops.
+        """
+        replica_set = self.replica_sets[shard_index]
+        with self._lag_lock:
+            inhibited = self._lag_inhibit[shard_index]
+            self._lag_inhibit[shard_index] = False
+        if inhibited:
+            lag = replica_set.lag()
+            if lag <= self.staleness_bound:
+                with self._lag_lock:
+                    self.replica_reads += 1
+                    if lag:
+                        self.stale_serves += 1
+                        if lag > self.max_served_lag:
+                            self.max_served_lag = lag
+                return lag
+        replica_set.catch_up(now=primary.clock.peek())
+        with self._lag_lock:
+            self.replica_reads += 1
+        return replica_set.lag()
+
+    def _follower_view(
+        self, shard_index: int, primary: WebApp, entity: str,
+        record_id: int, user: str,
+    ) -> Response:
+        """One follower-served record read, audited on the primary."""
+        lag = self._refresh_followers(shard_index, primary)
+        follower = self.replica_sets[shard_index].follower()
+        try:
+            stored = follower.store.entity(entity).get(record_id)
+        except KeyError:
+            # behind the primary (or truly absent): answer authoritatively
+            return self._read_record(primary, entity, record_id, user)
+        account = follower.users.get(user)
+        if not stored.metadata.accessible_by(user, account.level):
+            primary.audit.record(
+                audit_events.REJECT_AUTH, user, entity, record_id,
+                detail="read denied by confidentiality policy",
+            )
+            return forbidden(f"user {user!r} may not read {entity}#{record_id}")
+        primary.audit.record(audit_events.READ, user, entity, record_id)
+        return replica_read(
+            {"id": stored.record_id, "version": stored.version, **stored.data},
+            lag=lag,
+            bound=self.staleness_bound,
+        )
+
+    def _follower_list(
+        self, shard_index: int, primary: WebApp, entity: str, user: str
+    ):
+        """One shard's follower-served listing chunk and its lag, audited
+        on the primary (same READ event the authoritative path records)."""
+        lag = self._refresh_followers(shard_index, primary)
+        follower = self.replica_sets[shard_index].follower()
+        account = follower.users.get(user)
+        visible = follower.store.readable_by(entity, user, account.level)
+        primary.audit.record(
+            audit_events.READ, user, entity,
+            detail=f"{len(visible)} record(s) visible",
+        )
+        return visible, lag
+
+    # -- live topology changes --------------------------------------------
+
+    def split_shard(self) -> int:
+        """Join a fresh shard and stream its ring share to it, live.
+
+        Every record the grown ring assigns to the new node is first
+        pinned (via a routing override) to the shard that holds it, so
+        lookups keep resolving correctly from the instant the ring
+        changes until each record finishes streaming."""
+        if self._shard_factory is None:
+            raise RuntimeError(
+                "split_shard needs a shard factory (build via from_design)"
+            )
+        with self._topology_lock:
+            new_index = len(self.shards)
+            new_name = RingRouter.node_name(new_index)
+            live = self.router.all_shards()
+            probe = HashRing(
+                [RingRouter.node_name(i) for i in live] + [new_name],
+                vnodes=self.router.vnodes,
+            )
+            for donor in live:
+                app = self.shards[donor]
+                with self._shard_locks[donor]:
+                    for entity_name in app.store.entity_names:
+                        for stored in app.store.entity(entity_name).all():
+                            key = f"{entity_name}#{stored.record_id}"
+                            if probe.owner_of(key) == new_name:
+                                self.router.route_override(
+                                    entity_name, stored.record_id, donor
+                                )
+            app = self._shard_factory(new_index)
+            self.shards.append(app)
+            self._shard_locks.append(threading.RLock())
+            self.shard_restarts.append(0)
+            if self._breakers is not None:
+                self._breakers.append(self._new_breaker(new_index))
+            self.metrics.shard_count += 1
+            self.replica_sets.append(
+                self._new_replica_set(app)
+                if self._follower_factory is not None else None
+            )
+            with self._lag_lock:
+                self._lag_inhibit.append(False)
+            admitted = self.router.add_shard()
+            assert admitted == new_index
+            self._migrate_to_ring()
+            self.splits += 1
+            return new_index
+
+    def merge_shard(self, victim: int) -> None:
+        """Retire one shard, streaming its records to the survivors.
+
+        The victim's index stays a valid (empty) slot — audit history
+        and metrics keep their shard identities — but the ring stops
+        assigning it keys and ``all_shards`` stops listing it."""
+        with self._topology_lock:
+            live = self.router.all_shards()
+            if victim not in live:
+                raise ValueError(f"shard {victim} is not live")
+            if len(live) < 2:
+                raise ValueError("cannot merge the last live shard")
+            app = self.shards[victim]
+            with self._shard_locks[victim]:
+                for entity_name in app.store.entity_names:
+                    for stored in app.store.entity(entity_name).all():
+                        self.router.route_override(
+                            entity_name, stored.record_id, victim
+                        )
+            self.router.remove_shard(victim)
+            self._migrate_to_ring()
+            self.merges += 1
+
+    def _migrate_to_ring(self) -> None:
+        """Stream every record to its ring owner until placement settles.
+
+        Sweeps repeatedly because a write can land on a donor between
+        the planning scan and the ring change; the loop terminates
+        because post-change allocations already route to ring owners."""
+        while True:
+            moves: list[tuple[str, int, int, int]] = []
+            for index in range(len(self.shards)):
+                app = self.shards[index]
+                with self._shard_locks[index]:
+                    for entity_name in app.store.entity_names:
+                        for stored in app.store.entity(entity_name).all():
+                            owner = self.router.ring_owner(
+                                entity_name, stored.record_id
+                            )
+                            if owner != index:
+                                moves.append(
+                                    (entity_name, stored.record_id,
+                                     index, owner)
+                                )
+            if not moves:
+                return
+            for entity_name, record_id, donor, recipient in moves:
+                self._stream_record(entity_name, record_id, donor, recipient)
+
+    def _stream_record(
+        self, entity_name: str, record_id: int, donor: int, recipient: int
+    ) -> None:
+        """Move one record donor→recipient under both shard locks.
+
+        The handoff is durable on both sides: the recipient logs an
+        ``adopt`` op (data + metadata sidecar + version, id pinned), the
+        donor logs a ``retire`` — both group-committed — and each side's
+        followers replay the same ops.  The routing override is cleared
+        between the two, so the record is always served from a shard
+        that holds it: before the clear lookups resolve to the donor,
+        after it to the recipient.  Audit history stays on the donor."""
+        first, second = sorted((donor, recipient))
+        with self._shard_locks[first], self._shard_locks[second]:
+            donor_app = self.shards[donor]
+            recipient_app = self.shards[recipient]
+            try:
+                stored = donor_app.store.entity(entity_name).get(record_id)
+            except KeyError:  # raced away (already moved): nothing to do
+                self.router.clear_override(entity_name, record_id)
+                return
+            meta_state = stored.metadata.to_state()
+            adopt = {
+                "op": "adopt",
+                "entity": entity_name,
+                "id": record_id,
+                "data": dict(stored.data),
+                "meta": meta_state,
+                "version": stored.version,
+            }
+            recipient_app.store.entity(entity_name).restore_record(
+                record_id,
+                dict(stored.data),
+                metadata_state=meta_state,
+                version=stored.version,
+                reserve=True,
+            )
+            # the adopted record's stamps may postdate the recipient's
+            # clock; currentness must never see a negative age
+            recipient_app.clock.advance_to(op_tick(adopt))
+            recipient_app.persistence.append(adopt)
+            recipient_app.commit()
+            self.router.clear_override(entity_name, record_id)
+            donor_app.store.entity(entity_name).restore_delete(record_id)
+            donor_app.persistence.append(
+                {"op": "retire", "entity": entity_name, "id": record_id}
+            )
+            donor_app.commit()
+            with self._lag_lock:
+                self.migrated += 1
 
     # -- HTTP facade ------------------------------------------------------
 
@@ -1155,6 +1536,9 @@ class ShardedGateway:
         self, route: GatewayRoute, request: Request, params: dict
     ) -> Response:
         if route.kind == "create":
+            rejection = malformed_body(request.data)
+            if rejection is not None:
+                return rejection
             return self.submit(route.target, request.data, request.user)
         if route.kind == "list":
             return self.list(route.target, request.user)
@@ -1167,6 +1551,9 @@ class ShardedGateway:
             return bad_request(f"bad record id {raw_id!r}")
         if route.kind == "view":
             return self.view(route.target, record_id, request.user)
+        rejection = malformed_body(request.data, versioned=True)
+        if rejection is not None:
+            return rejection
         payload = dict(request.data)
         expected_version = payload.pop("expected_version", None)
         return self.modify(
@@ -1205,6 +1592,11 @@ class ShardedGateway:
                     if self.fault_injector is not None else "none"
                 )
             )
+        lines.append(
+            f"  ring: {len(self.router.all_shards())} live shard(s) x "
+            f"{self.router.vnodes} vnode(s), {self.replicas} "
+            f"follower(s)/shard, staleness bound {self.staleness_bound}"
+        )
         for route in self._routes:
             lines.append(
                 f"  {route.method} {route.path} -> {route.kind} "

@@ -405,6 +405,8 @@ def verify_guarantees(
 
     Checks, across **all** shards:
 
+    * every write acknowledged 201 is still held by the shard the router
+      resolves it to (a lost write otherwise);
     * every accepted write was audited exactly once (``store`` events);
     * every applied update was audited exactly once (``modify`` events)
       and no update was lost: a record's stored version must be exactly
@@ -413,8 +415,9 @@ def verify_guarantees(
       captures every read body, cached or not);
     * stale-version updates surfaced as 409 conflicts, never as writes.
 
-    ``ignore_ids`` are records written *before* the run (preload) whose
-    audit events are not this run's to account for.
+    ``ignore_ids`` are records acknowledged *before* the run (preload):
+    their audit events are not this run's to account for, but they must
+    still be held.
 
     Under fault injection, two more guarantees join the list: no write
     acknowledged 201 may be lost or double-applied (retries and duplicated
@@ -438,6 +441,12 @@ def verify_guarantees(
     for record_id, n in accepted.items():
         if n != 1:
             violations.append(f"record id {record_id} acknowledged {n} times")
+    for record_id in sorted(set(accepted) | set(ignore_ids)):
+        if _stored_version(gateway, entity, record_id) is None:
+            violations.append(
+                f"record {record_id}: acknowledged write lost (not held "
+                f"by shard {gateway.router.shard_for(entity, record_id)})"
+            )
     for record_id in accepted:
         audited = store_counts.get(record_id, 0)
         if audited != 1:

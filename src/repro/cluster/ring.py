@@ -1,27 +1,38 @@
-"""Consistent-hash routing: the elastic replacement for ``mod N``.
+"""Consistent-hash routing: every record's home shard.
 
-The fixed-N :class:`~repro.cluster.sharding.ShardRouter` pins every
-record to ``fnv1a(entity#id) mod N`` — perfect placement determinism,
-terrible elasticity: changing N remaps roughly ``(N-1)/N`` of all keys,
-so growing the fleet means re-streaming almost every record.  The
-consistent-hash ring keeps the same pure-function determinism (the ring
-is fully determined by its node names and the vnode count; no shared
-mapping table, no randomness) while shrinking the movement cost of a
+Placement and lookup must agree without any shared mapping table, so
+both derive from one pure function of *(entity, record id)*.  The
+gateway allocates global record ids itself (a locked per-entity
+counter), computes the home shard before the write ever touches a
+store, and every later keyed operation (view, update) re-derives the
+same shard from the same two values.  Listing reads have no key — they
+scatter to every live shard and the gateway gathers the results.
+
+That function is a consistent-hash ring rather than ``hash mod N``:
+changing N under ``mod N`` remaps roughly ``(N-1)/N`` of all keys, so
+growing the fleet would mean re-streaming almost every record.  The
+ring is fully determined by its node names and the vnode count (no
+shared table, no randomness) and shrinks the movement cost of a
 topology change to roughly the joining/leaving node's share, ``1/N``.
 
 Layout: each node projects ``vnodes`` points onto the 64-bit hash
 space at ``spread(fnv1a("node#vnode#i"))``; a key hashed the same way
-is owned by the first node point clockwise from it (binary search over
-the sorted points, wrapping at the top).  The :func:`spread` finalizer
-matters: raw FNV-1a of common-prefix strings clumps, which would pile
-all of a node's vnodes into one arc.  More vnodes → smoother load at
-the cost of a bigger (still tiny) point table; 128 per node keeps
-every shard's share within ~25% of uniform for the fleet sizes the
-gateway runs (tested bound: 0.7x–1.35x ideal).
+(``spread(fnv1a("entity#id"))``) is owned by the first node point
+clockwise from it (binary search over the sorted points, wrapping at
+the top).  The :func:`spread` finalizer matters: raw FNV-1a of
+common-prefix strings clumps, which would pile all of a node's vnodes
+into one arc.  More vnodes → smoother load at the cost of a bigger
+(still tiny) point table; 128 per node keeps every shard's share
+within ~25% of uniform for the fleet sizes the gateway runs (tested
+bound: 0.7x–1.35x ideal).
 
-:class:`RingRouter` is the drop-in :class:`ShardRouter` replacement the
-replicated gateway installs — same ``allocate_id`` / ``observe_id`` /
-``shard_for`` / ``placement`` surface, plus ``add_shard`` /
+FNV-1a is a streaming hash, so the shared ``"entity#"`` and
+``"node#vnode#"`` prefixes are hashed once and each key continues from
+that state — the same bits as hashing the whole string, for a fraction
+of the per-byte loop.
+
+:class:`RingRouter` is what the gateway routes with: ``allocate_id`` /
+``observe_id`` / ``shard_for`` / ``placement``, plus ``add_shard`` /
 ``remove_shard`` for live topology changes and a per-record override
 table the migration engine uses to keep serving records that have not
 streamed to their new owner yet.
@@ -29,15 +40,30 @@ streamed to their new owner yet.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left
 from typing import Sequence
-
-from .sharding import ShardRouter, fnv1a
 
 #: Default virtual-node count per ring node.
 DEFAULT_VNODES = 128
 
+#: FNV-1a 64-bit parameters (stable across processes, unlike ``hash()``,
+#: which Python salts per interpreter run).
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+
 _MASK = (1 << 64) - 1
+
+
+def fnv1a(text: str, state: int = _FNV_OFFSET) -> int:
+    """The 64-bit FNV-1a hash of ``text`` — deterministic across runs.
+
+    ``state`` continues a hash already under way: the hash is streaming,
+    so ``fnv1a(a + b) == fnv1a(b, fnv1a(a))``.
+    """
+    for byte in text.encode("utf-8"):
+        state = ((state ^ byte) * _FNV_PRIME) & _MASK
+    return state
 
 
 def spread(value: int) -> int:
@@ -89,8 +115,9 @@ class HashRing:
         return node in self._nodes
 
     def _node_points(self, node: str) -> list[tuple[int, str]]:
+        prefix = fnv1a(f"{node}#vnode#")
         return [
-            (spread(fnv1a(f"{node}#vnode#{index}")), node)
+            (spread(fnv1a(str(index), prefix)), node)
             for index in range(self.vnodes)
         ]
 
@@ -125,15 +152,14 @@ class HashRing:
         )
 
 
-class RingRouter(ShardRouter):
-    """A :class:`ShardRouter` whose placement comes from a hash ring.
+class RingRouter:
+    """Maps (entity, record id) pairs to shard indices on a hash ring.
 
     Shard indices stay stable identities for the gateway's parallel
     lists (shards, locks, breakers, replica sets): ``add_shard`` always
     returns a brand-new index and ``remove_shard`` retires an index
     without renumbering the survivors — only the ring membership
-    changes.  ``all_shards`` therefore returns the *live* indices, not a
-    range.
+    changes.  ``all_shards`` therefore returns the *live* indices.
 
     ``route_override`` / ``clear_override`` maintain the migration
     table: while a record is still streaming to its new owner, lookups
@@ -141,16 +167,39 @@ class RingRouter(ShardRouter):
     never stops serving mid-move.
     """
 
-    def __init__(
-        self, shard_count: int, vnodes: int = DEFAULT_VNODES
-    ):
-        super().__init__(shard_count)
+    def __init__(self, shard_count: int, vnodes: int = DEFAULT_VNODES):
+        if shard_count < 1:
+            raise ValueError("shard_count must be >= 1")
+        self._lock = threading.Lock()
+        self._counters: dict[str, int] = {}
         self._ring = HashRing(vnodes=vnodes)
         self._node_index: dict[str, int] = {}
         self._next_index = 0
         self._overrides: dict[tuple[str, int], int] = {}
+        # FNV state after each entity's "entity#" key prefix
+        self._key_prefixes: dict[str, int] = {}
         for _ in range(shard_count):
             self._admit()
+
+    # -- record ids -------------------------------------------------------
+
+    def allocate_id(self, entity: str) -> int:
+        """The next global record id for ``entity`` (thread-safe)."""
+        with self._lock:
+            next_id = self._counters.get(entity, 0) + 1
+            self._counters[entity] = next_id
+            return next_id
+
+    def observe_id(self, entity: str, record_id: int) -> None:
+        """Keep the allocator ahead of ids assigned elsewhere."""
+        with self._lock:
+            if record_id > self._counters.get(entity, 0):
+                self._counters[entity] = record_id
+
+    def placement(self, entity: str) -> tuple[int, int]:
+        """Allocate a fresh id and return ``(record_id, shard_index)``."""
+        record_id = self.allocate_id(entity)
+        return record_id, self.shard_for(entity, record_id)
 
     # -- topology ---------------------------------------------------------
 
@@ -164,7 +213,6 @@ class RingRouter(ShardRouter):
         name = self.node_name(index)
         self._ring.add_node(name)
         self._node_index[name] = index
-        self.shard_count = self._next_index
         return index
 
     def add_shard(self) -> int:
@@ -185,22 +233,31 @@ class RingRouter(ShardRouter):
 
     # -- lookup -----------------------------------------------------------
 
+    def _key_hash(self, entity: str, record_id: int) -> int:
+        prefix = self._key_prefixes.get(entity)
+        if prefix is None:
+            prefix = self._key_prefixes[entity] = fnv1a(f"{entity}#")
+        return spread(fnv1a(str(record_id), prefix))
+
     def shard_for(self, entity: str, record_id: int) -> int:
-        key = f"{entity}#{record_id}"
+        """The home shard of a record: its migration override, else its
+        ring owner."""
+        key_hash = self._key_hash(entity, record_id)
         with self._lock:
-            override = self._overrides.get((entity, record_id))
-            if override is not None:
-                return override
-            return self._node_index[self._ring.owner_of(key)]
+            if self._overrides:
+                override = self._overrides.get((entity, record_id))
+                if override is not None:
+                    return override
+            return self._node_index[self._ring.owner(key_hash)]
 
     def ring_owner(self, entity: str, record_id: int) -> int:
         """The ring's answer, ignoring migration overrides."""
+        key_hash = self._key_hash(entity, record_id)
         with self._lock:
-            return self._node_index[
-                self._ring.owner_of(f"{entity}#{record_id}")
-            ]
+            return self._node_index[self._ring.owner(key_hash)]
 
     def all_shards(self) -> tuple[int, ...]:
+        """Every live shard index — the scatter-gather (broadcast) path."""
         with self._lock:
             return tuple(sorted(self._node_index.values()))
 
@@ -230,8 +287,8 @@ class RingRouter(ShardRouter):
 
 
 def moved_fraction(
-    before: "RingRouter | ShardRouter",
-    after: "RingRouter | ShardRouter",
+    before: RingRouter,
+    after: RingRouter,
     entity: str,
     count: int,
     start: int = 1,

@@ -36,6 +36,7 @@ from .http import (
     conflict,
     created,
     forbidden,
+    malformed_body,
     not_found,
     ok,
     unprocessable,
@@ -434,6 +435,9 @@ class WebApp:
 
     def create_handler(self, form_name: str) -> Handler:
         def handle(request: Request) -> Response:
+            rejection = malformed_body(request.data)
+            if rejection is not None:
+                return rejection
             try:
                 stored = self.submit(form_name, request.data, request.user)
             except DataQualityViolation as exc:
@@ -455,6 +459,9 @@ class WebApp:
                 self.store.entity(entity).get(record_id)
             except (ValueError, KeyError):
                 return not_found(f"no record {raw_id!r}")
+            rejection = malformed_body(request.data, versioned=True)
+            if rejection is not None:
+                return rejection
             payload = dict(request.data)
             expected_version = payload.pop("expected_version", None)
             try:

@@ -104,6 +104,29 @@ def bad_request(message: str) -> Response:
     return Response(BAD_REQUEST, {"error": message})
 
 
+def malformed_body(data, versioned: bool = False) -> Optional[Response]:
+    """The 400 answer for a write body the pipeline cannot take, or
+    ``None`` when it is well-formed.
+
+    A body must be an object (a dict of field values); an update body's
+    optional ``expected_version`` must be an integer, or a malformed
+    version would surface as a 409 stale-version conflict.
+    """
+    if not isinstance(data, dict):
+        return bad_request(
+            f"request body must be an object, not {type(data).__name__}"
+        )
+    if versioned:
+        expected = data.get("expected_version")
+        if expected is not None and (
+            isinstance(expected, bool) or not isinstance(expected, int)
+        ):
+            return bad_request(
+                f"expected_version must be an integer, got {expected!r}"
+            )
+    return None
+
+
 def forbidden(message: str = "forbidden") -> Response:
     return Response(FORBIDDEN, {"error": message})
 

@@ -109,6 +109,6 @@ def test_memory_backend_storm_detects_lost_writes(tmp_path):
     if result.restarts == 0:
         pytest.skip("seed injected no effective kill on memory shards")
     assert not result.ok
-    # the wiped shard dropped acknowledged stores, so the verifier sees
-    # records whose mandatory store audit event never materialized
-    assert any("store audit event" in v for v in result.violations)
+    # the wiped shard dropped acknowledged records, so the verifier
+    # finds acknowledged ids their home shard no longer holds
+    assert any("acknowledged write lost" in v for v in result.violations)

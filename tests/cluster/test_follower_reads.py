@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.casestudy import easychair
-from repro.cluster import LoadGenerator, RingGateway, easychair_spec
+from repro.cluster import LoadGenerator, ShardedGateway, easychair_spec
 from repro.dq.streaming import scores_close
 
 pytestmark = pytest.mark.replication
@@ -25,7 +25,7 @@ EXACT_LINES = {"Precision", "Traceability", "Confidentiality"}
 def _gateway(staleness_bound: int = 16, operations: int = 40, seed: int = 5):
     spec = easychair_spec()
     generator = LoadGenerator(spec=spec, seed=seed)
-    gateway = RingGateway.from_design(
+    gateway = ShardedGateway.from_design(
         easychair.build_design(),
         shard_count=3,
         users=easychair.USERS,
@@ -202,7 +202,7 @@ def test_armed_lag_serves_stale_within_the_bound():
             expected_version=stale_version,
         )
         assert update.ok, update.body
-        gateway._on_replica_lag_fault(shard_index)
+        gateway.inhibit_catch_up(shard_index)
         stale = gateway.view(spec.entity, record_id, "chair")
         assert stale.status == 203
         lag = int(stale.headers["X-DQ-Replica-Lag"])
@@ -232,7 +232,7 @@ def test_lag_past_the_bound_forces_catch_up():
             expected_version=fresh.body["version"],
         )
         assert update.ok, update.body
-        gateway._on_replica_lag_fault(shard_index)
+        gateway.inhibit_catch_up(shard_index)
         # bound 0 means no staleness is tolerable: the armed lag must
         # be overridden by a forced catch-up before serving
         response = gateway.view(spec.entity, record_id, "chair")

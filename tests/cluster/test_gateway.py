@@ -11,6 +11,8 @@ import pytest
 
 from repro.casestudy import easychair
 from repro.cluster import ShardedGateway
+from repro.runtime.dqengine import build_app
+from repro.runtime.http import Request
 
 FORM = "Add all data as result of review form"
 ENTITY = "Add all data as result of review"
@@ -227,6 +229,56 @@ class TestHttpFacade:
     def test_list_path_wins_over_id_pattern(self, gateway):
         # "/…/list" must route to the list, not parse "list" as an id
         assert gateway.get(LIST_PATH, user="chair").status == 200
+
+
+def _single_app():
+    app = build_app(easychair.build_design())
+    for name, level, roles in easychair.USERS:
+        app.add_user(name, level, roles)
+    app.route(f"{CREATE_PATH}/<id>", "PUT", app.update_handler(FORM))
+    return app
+
+
+@pytest.mark.parametrize("facade", ["gateway", "app"])
+@pytest.mark.parametrize("method, body", [
+    ("POST", [1, 2]),
+    ("POST", "x"),
+    ("POST", 5),
+    ("PUT", [1, 2]),
+    ("PUT", "xy"),
+    ("PUT", {"detailed_comments": "new", "expected_version": "x"}),
+    ("PUT", {"detailed_comments": "new", "expected_version": 1.5}),
+], ids=[
+    "post-list", "post-str", "post-int", "put-list", "put-str",
+    "put-version-str", "put-version-float",
+])
+def test_malformed_write_bodies_answer_400(facade, method, body):
+    # the sharded gateway and the single app share one body check: a
+    # non-object body or a non-integer expected_version is the client's
+    # error, never a traceback and never a 409 stale-version conflict
+    if facade == "gateway":
+        server = ShardedGateway.from_design(
+            easychair.build_design(), shard_count=2, users=easychair.USERS
+        )
+    else:
+        server = _single_app()
+    try:
+        created = server.handle(Request(
+            "POST", CREATE_PATH, user="pc_member_1",
+            data=easychair.complete_review(),
+        ))
+        assert created.status == 201
+        path = CREATE_PATH
+        if method == "PUT":
+            path = f"{CREATE_PATH}/{created.body['id']}"
+        response = server.handle(
+            Request(method, path, user="pc_member_1", data=body)
+        )
+        assert response.status == 400, response.body
+        assert "error" in response.body
+    finally:
+        if facade == "gateway":
+            server.close()
 
 
 class TestMetrics:

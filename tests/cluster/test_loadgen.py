@@ -106,6 +106,33 @@ class TestExecution:
         violations = verify_guarantees(gateway, report)
         assert any("lost or phantom update" in v for v in violations)
 
+    def test_verify_guarantees_names_every_lost_acknowledged_write(
+        self, gateway
+    ):
+        spec = LoadGenerator().spec
+        preloaded = frozenset(
+            gateway.submit(
+                spec.form, easychair.complete_review(), "pc_member_1"
+            ).body["id"]
+            for _ in range(8)
+        )
+        report = LoadGenerator(seed=13, mix=SOAK_MIX).run(gateway, count=100)
+        gateway.restart_shard(0)  # a memory shard comes back empty
+        acknowledged = preloaded | set(report.accepted_ids)
+        held = {
+            stored.record_id
+            for shard in gateway.shards
+            for stored in shard.store.entity(spec.entity).all()
+        }
+        lost = sorted(acknowledged - held)
+        assert set(lost) & preloaded and set(lost) - preloaded
+        violations = verify_guarantees(gateway, report, ignore_ids=preloaded)
+        for record_id in lost:
+            assert any(
+                v.startswith(f"record {record_id}: acknowledged write lost")
+                for v in violations
+            ), record_id
+
     def test_run_requires_count_or_operations(self, gateway):
         with pytest.raises(ValueError):
             LoadGenerator().run(gateway)

@@ -465,14 +465,19 @@ def test_degraded_read_without_a_last_good_body_is_shed():
 
 
 def test_degraded_list_never_leaks_across_clearance_levels():
-    # two shards; both users warm their own last-good listing, then
-    # shard 0 crashes: the cleared user's degraded body carries records,
+    # two shards; both users warm their own last-good listing, then one
+    # shard crashes: the cleared user's degraded body carries records,
     # the uncleared user's stays empty — keys include user + clearance
     design = easychair.build_design()
     gateway = ShardedGateway.from_design(
         design, shard_count=2, users=easychair.USERS,
-        fault_plan=FaultPlan([FaultSpec(CRASH, 0, 6, 1 << 30)]),
-        resilience=ResilienceConfig(),
+        fault_plan=FaultPlan(), resilience=ResilienceConfig(),
+    )
+    # crash the shard that does not hold record 3, so the third write
+    # lands and bumps the entity version past the warmed listings
+    victim = 1 - gateway.router.shard_for(ENTITY, 3)
+    gateway.fault_injector.plan = FaultPlan(
+        [FaultSpec(CRASH, victim, 6, 1 << 30)]
     )
     try:
         # calls 0-1: two submits land somewhere on the two shards
@@ -485,7 +490,7 @@ def test_degraded_list_never_leaks_across_clearance_levels():
         uncleared = gateway.list(ENTITY, "outsider")
         assert cleared.status == 200 and len(cleared.body) == 2
         assert uncleared.status == 200 and uncleared.body == []
-        # a write invalidates the cache, then shard 0 is down for good
+        # a write invalidates the cache, then the victim is down for good
         assert gateway.submit(
             FORM, easychair.complete_review(), "pc_member_1"
         ).status in (201, 503)

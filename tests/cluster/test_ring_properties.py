@@ -4,7 +4,9 @@ The ring's three load-bearing promises, stated as properties:
 
 1. **Placement determinism** — the ring is a pure function of
    ``(member names, vnodes)``: insertion order, process, and history
-   (add/remove round-trips) never change any key's owner.
+   (add/remove round-trips) never change any key's owner — nor does
+   any commit: known-answer digests pin the layout, which replicated
+   data directories and the topology chaos renders depend on.
 2. **Minimal key movement** — a topology change moves roughly the
    joining/leaving node's share of keys (``~1/(N+1)``), where the
    fixed ``mod N`` router remaps almost everything.
@@ -14,6 +16,7 @@ The ring's three load-bearing promises, stated as properties:
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -24,7 +27,7 @@ from repro.cluster import (
     DEFAULT_VNODES,
     HashRing,
     RingRouter,
-    ShardRouter,
+    fnv1a,
     moved_fraction,
 )
 
@@ -98,6 +101,33 @@ def test_router_placement_is_reproducible_across_instances(
         assert first.shard_for(entity, record_id) in first.all_shards()
 
 
+@pytest.mark.parametrize("shard_count, vnodes, entity, digest", [
+    (4, 128, "Add all data as result of review",
+     "476710e10955729f3ed96a6f037755b0dd4260c1cee54e27ab973de28b726367"),
+    (4, 128, "Manage order data",
+     "2f52ac2fcbb2b97842d0ed9621afc81efdf09cfd98a1d098245042df872bd41b"),
+    (3, 64, "Add all data as result of review",
+     "c5b82dc58ba18da085384db832a24ce046e760b6f77528e795b004737bfa87e8"),
+])
+def test_ring_layout_matches_its_known_answer(
+    shard_count, vnodes, entity, digest
+):
+    # the two case-study entities on the default 4x128 fleet, and the
+    # topology-chaos geometry; a changed digest means records on disk
+    # and in recorded renders would no longer be found where they live
+    router = RingRouter(shard_count, vnodes=vnodes)
+    placements = [router.shard_for(entity, i) for i in range(1, 1001)]
+    assert hashlib.sha256(repr(placements).encode()).hexdigest() == digest
+
+
+@given(head=st.text(max_size=24), tail=st.text(max_size=24))
+@settings(max_examples=200, deadline=None)
+def test_fnv1a_streams_from_a_prefix_state(head, tail):
+    # the ring hashes every key from its entity's "entity#" state and
+    # every vnode point from its node's "node#vnode#" state
+    assert fnv1a(head + tail) == fnv1a(tail, fnv1a(head))
+
+
 def test_overrides_shadow_the_ring_and_clear_cleanly():
     router = RingRouter(4, vnodes=64)
     home = router.shard_for("Review", 7)
@@ -146,6 +176,17 @@ def test_leave_moves_only_the_leaver_share(shard_count):
     assert 0 < moved <= 1.5 / shard_count
 
 
+class _ModN:
+    """The ``fnv1a(entity#id) mod N`` placement the ring is measured
+    against."""
+
+    def __init__(self, shard_count: int):
+        self.shard_count = shard_count
+
+    def shard_for(self, entity: str, record_id: int) -> int:
+        return fnv1a(f"{entity}#{record_id}") % self.shard_count
+
+
 @given(shard_count=st.integers(min_value=2, max_value=8))
 @settings(max_examples=12, deadline=None)
 def test_ring_moves_far_fewer_keys_than_mod_n(shard_count):
@@ -156,10 +197,7 @@ def test_ring_moves_far_fewer_keys_than_mod_n(shard_count):
         4000,
     )
     mod_moved = moved_fraction(
-        ShardRouter(shard_count),
-        ShardRouter(shard_count + 1),
-        "Review",
-        4000,
+        _ModN(shard_count), _ModN(shard_count + 1), "Review", 4000
     )
     # mod N remaps ~(N-1)/N of all keys on a resize; the ring must beat
     # it by a wide margin, not a rounding error

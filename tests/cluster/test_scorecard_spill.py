@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.casestudy import easychair
-from repro.cluster import LoadGenerator, RingGateway, ShardedGateway
+from repro.cluster import LoadGenerator, ShardedGateway
 from repro.dq.streaming import DEFAULT_SPILL_THRESHOLD, scores_close
 
 EXACT_LINES = {"Precision", "Traceability", "Confidentiality"}
@@ -95,7 +95,7 @@ def test_sharded_gateway_scorecard_rescans_a_field_spilled_on_one_shard():
 
 @pytest.mark.replication
 def test_ring_follower_scorecard_rescans_a_field_spilled_on_one_shard():
-    gateway = RingGateway.from_design(
+    gateway = ShardedGateway.from_design(
         easychair.build_design(),
         shard_count=3,
         users=easychair.USERS,

@@ -1,4 +1,5 @@
-"""Unit tests for deterministic key→shard routing."""
+"""Unit tests for deterministic key→shard routing: the FNV-1a hash and
+the id-allocation / placement surface of the gateway's ring router."""
 
 import pathlib
 import subprocess
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from repro.cluster.sharding import ShardRouter, fnv1a
+from repro.cluster import RingRouter, fnv1a
 
 
 class TestFnv1a:
@@ -21,48 +22,51 @@ class TestFnv1a:
 
 
 class TestShardRouter:
+    """The shard router the gateway routes with (:class:`RingRouter`)."""
+
     def test_rejects_zero_shards(self):
         with pytest.raises(ValueError):
-            ShardRouter(0)
+            RingRouter(0)
 
     def test_shard_for_is_stable_and_in_range(self):
-        router = ShardRouter(4)
+        router = RingRouter(4)
         first = router.shard_for("reviews", 7)
         assert 0 <= first < 4
         assert router.shard_for("reviews", 7) == first
         # a different entity with the same id may route elsewhere
-        assert ShardRouter(4).shard_for("reviews", 7) == first
+        assert RingRouter(4).shard_for("reviews", 7) == first
 
     def test_single_shard_routes_everything_home(self):
-        router = ShardRouter(1)
+        router = RingRouter(1)
         assert all(
             router.shard_for("e", i) == 0 for i in range(1, 20)
         )
 
     def test_allocate_ids_sequential_per_entity(self):
-        router = ShardRouter(3)
+        router = RingRouter(3)
         assert [router.allocate_id("a") for _ in range(3)] == [1, 2, 3]
         assert router.allocate_id("b") == 1  # independent per entity
 
     def test_observe_id_keeps_allocator_ahead(self):
-        router = ShardRouter(2)
+        router = RingRouter(2)
         router.observe_id("a", 10)
         assert router.allocate_id("a") == 11
         router.observe_id("a", 5)  # never goes backwards
         assert router.allocate_id("a") == 12
 
     def test_placement_pairs_id_with_its_hash_shard(self):
-        router = ShardRouter(4)
+        router = RingRouter(4)
         record_id, shard = router.placement("reviews")
         assert record_id == 1
         assert shard == router.shard_for("reviews", 1)
 
     def test_all_shards_is_the_broadcast_path(self):
-        assert list(ShardRouter(3).all_shards()) == [0, 1, 2]
+        assert list(RingRouter(3).all_shards()) == [0, 1, 2]
 
 
 class TestRoutingProperties:
-    """Seeded property-style checks: stability, uniformity, resharding."""
+    """Seeded property-style checks on the hash itself (the ring's
+    uniformity and movement properties live in test_ring_properties)."""
 
     def test_fnv1a_reference_vectors(self):
         # published FNV-1a 64-bit test vectors — any drift in the
@@ -76,7 +80,7 @@ class TestRoutingProperties:
         # record routed in one process must route identically in another
         keys = [f"reviews#{i}" for i in range(50)]
         script = (
-            "from repro.cluster.sharding import fnv1a; "
+            "from repro.cluster import fnv1a; "
             f"print([fnv1a(k) for k in {keys!r}])"
         )
         src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
@@ -87,38 +91,8 @@ class TestRoutingProperties:
         )
         assert eval(fresh.stdout) == [fnv1a(k) for k in keys]
 
-    def test_distribution_uniform_within_15_percent_over_8_shards(self):
-        router = ShardRouter(8)
-        counts = [0] * 8
-        total = 10_000
-        for record_id in range(1, total + 1):
-            counts[router.shard_for("reviews", record_id)] += 1
-        expected = total / 8
-        for shard, count in enumerate(counts):
-            deviation = abs(count - expected) / expected
-            assert deviation <= 0.15, (
-                f"shard {shard}: {count} keys, {deviation:.1%} off uniform"
-            )
-
-    def test_resharding_moves_roughly_the_modular_fraction(self):
-        # growing N -> N+1 under mod-N placement keeps ~1/(N+1) of keys
-        # on their old shard; far more stability would mean the hash is
-        # degenerate, far less that routing is unstable noise
-        before = ShardRouter(8)
-        after = ShardRouter(9)
-        total = 10_000
-        stayed = sum(
-            before.shard_for("reviews", i) == after.shard_for("reviews", i)
-            for i in range(1, total + 1)
-        )
-        fraction = stayed / total
-        assert abs(fraction - 1 / 9) < 0.03, f"{fraction:.3f} stayed"
-
     def test_entity_name_participates_in_the_hash(self):
-        # the full 64-bit hashes must differ per entity; the mod-N
-        # placements may legitimately coincide for entity-name pairs
-        # whose prefixes collide in the low bits ("reviews"/"papers"
-        # actually do, mod 8 — a property, not a bug)
+        # the full 64-bit hashes must differ per entity
         hashes_a = [fnv1a(f"reviews#{i}") for i in range(64)]
         hashes_b = [fnv1a(f"papers#{i}") for i in range(64)]
         assert all(a != b for a, b in zip(hashes_a, hashes_b))

@@ -2,10 +2,11 @@
 seeded faults.
 
 Mirrors ``test_durability_chaos.py`` one layer up: the system under
-test is the :class:`~repro.cluster.topology.RingGateway` — consistent-
-hash routing, per-shard followers, live split/merge — and the oracle is
-the same workload on a fixed topology.  Every storm is seeded, so the
-determinism tests compare full rendered reports byte for byte.
+test is a :class:`~repro.cluster.gateway.ShardedGateway` with
+followers — consistent-hash routing, per-shard followers, live
+split/merge — and the oracle is the same workload on a fixed topology.
+Every storm is seeded, so the determinism tests compare full rendered
+reports byte for byte.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.cluster import (
     KILL,
     LoadGenerator,
     REPLICA_LAG,
-    RingGateway,
+    ShardedGateway,
     easychair_spec,
     run_topology_chaos,
 )
@@ -32,7 +33,7 @@ def _drilled_gateway(seed: int = 5, operations: int = 40):
     """A replicated ring gateway with a seeded workload already applied."""
     spec = easychair_spec()
     generator = LoadGenerator(spec=spec, seed=seed)
-    gateway = RingGateway.from_design(
+    gateway = ShardedGateway.from_design(
         easychair.build_design(),
         shard_count=3,
         users=easychair.USERS,

@@ -329,6 +329,8 @@ class TestBadInput:
          ["--staleness-bound", "non-negative"]),
         (["chaos", "--count", "many"],
          ["--count", "must be a positive integer, got 'many'"]),
+        (["demo", "--count", "-3"], ["--count", "positive"]),
+        (["experiments", "--count", "-1"], ["--count", "positive"]),
     ])
     def test_out_of_range_numbers_and_clashing_modes(
         self, capsys, argv, fragments
