@@ -62,7 +62,7 @@ def test_four_shards_at_least_twice_single_shard_throughput():
 def test_guarantees_hold_during_measured_load():
     gateway = ShardedGateway.from_design(
         easychair.build_design(), shard_count=4, users=easychair.USERS,
-        max_queue_depth=1024, workers=4,
+        max_queue_depth=1024,
     )
     try:
         preloaded = frozenset(

@@ -1,10 +1,11 @@
-"""``repro.cluster`` — the sharded, thread-parallel DQ serving layer.
+"""``repro.cluster`` — the sharded DQ serving layer.
 
 **Beyond the paper.**  DQ_WebRE ends at a single generated web application
 (the EasyChair case study); this package is our scaling extension: a
 :class:`~repro.cluster.gateway.ShardedGateway` fronting N ``WebApp``
-shards with consistent-hash key routing, per-shard locking, a
-confidentiality-aware read-through cache, backpressure (429/503), gateway
+shards with consistent-hash key routing, per-shard locking (each
+request runs on its caller's thread), a confidentiality-aware
+read-through cache, backpressure on requests in flight (429/503), gateway
 metrics, and a deterministic load generator for tests and benchmarks.
 
 Every DQSR family the paper derives stays enforced *in the serving path*:

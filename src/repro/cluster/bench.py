@@ -593,7 +593,6 @@ def run_comparison(
             users=users,
             cache_capacity=capacity,
             max_queue_depth=max(512, count),
-            workers=shards,
             fault_plan=fault_plan,
             resilience=(
                 ResilienceConfig() if fault_plan is not None else None
@@ -670,7 +669,7 @@ def run_hotpath_bench(
     def fresh_gateway() -> ShardedGateway:
         return ShardedGateway.from_design(
             design_model, shard_count=shard_count, users=easychair.USERS,
-            cache_capacity=0, max_queue_depth=4096, workers=shard_count,
+            cache_capacity=0, max_queue_depth=4096,
         )
 
     # -- 1. deepcopy vs copy-on-write snapshots on the read path ---------
@@ -1097,7 +1096,7 @@ def run_dqtelemetry_bench(
     def fresh_gateway() -> ShardedGateway:
         return ShardedGateway.from_design(
             design_model, shard_count=shard_count, users=easychair.USERS,
-            cache_capacity=0, max_queue_depth=4096, workers=shard_count,
+            cache_capacity=0, max_queue_depth=4096,
         )
 
     # -- 1. write-path overhead: telemetry on vs off ---------------------
@@ -1611,7 +1610,7 @@ def run_durability_bench(
             return ShardedGateway.from_design(
                 design_model, shard_count=shard_count,
                 users=easychair.USERS, cache_capacity=0,
-                max_queue_depth=4096, workers=shard_count,
+                max_queue_depth=4096,
                 persistence=factory,
             )
 
@@ -1859,7 +1858,6 @@ def run_replication_bench(
             design_model, shard_count=shard_count, users=easychair.USERS,
             replicas=replicas, staleness_bound=staleness_bound,
             vnodes=vnodes, cache_capacity=0, max_queue_depth=4096,
-            workers=shard_count,
         )
 
     def serve_pass(topology: bool) -> HotpathRow:

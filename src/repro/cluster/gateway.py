@@ -4,8 +4,8 @@
 the paper's case study never had to build: every DQSR guarantee the
 single-threaded :class:`~repro.runtime.app.WebApp` enforces (completeness
 and precision validation, confidentiality filtering, traceability and
-audit, optimistic concurrency) is preserved while requests fan out across
-shards from a worker thread pool.
+audit, optimistic concurrency) is preserved while requests spread across
+shards.
 
 Design in one breath:
 
@@ -13,12 +13,14 @@ Design in one breath:
   keyed operation with the consistent-hash
   :class:`~repro.cluster.ring.RingRouter`; listing reads scatter to every
   live shard and gather a merged, id-sorted body.
+* **Dispatch** — every request runs on its caller's thread; the gateway
+  starts no threads of its own.
 * **Isolation** — each shard is guarded by its own re-entrant lock, so a
   shard's ``WebApp`` only ever sees one request at a time and stays
-  internally consistent; different shards serve concurrently.
-* **Backpressure** — admitted-but-unfinished dispatches are counted; past
+  internally consistent; concurrent callers proceed on different shards.
+* **Backpressure** — requests in flight are counted; past
   ``max_queue_depth`` the gateway answers **429** immediately instead of
-  queueing without bound, and **503** once closed.
+  letting callers pile up on the shard locks, and **503** once closed.
 * **Caching** — reads go through a confidentiality-aware
   :class:`~repro.cluster.cache.ReadThroughCache`; accepted writes bump a
   per-entity data version (and drop the entity's entries), so a stale body
@@ -47,7 +49,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -63,7 +64,6 @@ from repro.runtime.app import WebApp
 from repro.runtime.http import (
     Request,
     Response,
-    bad_request,
     conflict,
     created,
     degraded,
@@ -72,6 +72,7 @@ from repro.runtime.http import (
     method_not_allowed,
     not_found,
     ok,
+    path_record_id,
     replica_read,
     too_many_requests,
     unavailable,
@@ -130,14 +131,14 @@ class GatewayRoute:
 
 
 class ShardedGateway:
-    """A thread-parallel, sharded, caching front for N ``WebApp`` shards.
+    """A sharded, caching front for N ``WebApp`` shards.
 
     ``shards`` must be built identically (same entities, forms, policies
     and registered users) — :meth:`from_design` does exactly that from a
-    design model.  ``cache_capacity=0`` disables the read cache;
-    ``max_queue_depth`` bounds admitted-but-unfinished dispatches before
-    429s start; ``workers`` sizes the dispatch pool (default: one per
-    shard).  ``vnodes`` sizes each shard's share of the hash ring;
+    design model.  Requests run on the caller's thread.
+    ``cache_capacity=0`` disables the read cache; ``max_queue_depth``
+    bounds requests in flight before 429s start.  ``vnodes`` sizes each
+    shard's share of the hash ring;
     ``replicas`` followers per shard (attached by :meth:`from_design`)
     serve reads lagging at most ``staleness_bound`` acked ops.
     """
@@ -147,7 +148,6 @@ class ShardedGateway:
         shards: Sequence[WebApp],
         cache_capacity: int = 256,
         max_queue_depth: int = 64,
-        workers: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
         resilience: Optional[ResilienceConfig] = None,
         write_batch_max: int = 32,
@@ -183,12 +183,10 @@ class ShardedGateway:
         self.metrics = GatewayMetrics(len(self.shards))
         self.max_queue_depth = max_queue_depth
         self._shard_locks = [threading.RLock() for _ in self.shards]
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers or len(self.shards),
-            thread_name_prefix="gateway",
-        )
+        # requests in flight; ``close`` waits on ``_drained`` for zero
         self._pending = 0
         self._pending_lock = threading.Lock()
+        self._drained = threading.Condition(self._pending_lock)
         self._entity_versions: dict[str, int] = {}
         self._version_lock = threading.Lock()
         self._routes: list[GatewayRoute] = []
@@ -643,12 +641,14 @@ class ShardedGateway:
         return lines
 
     def close(self) -> None:
-        """Stop accepting requests; in-flight dispatches drain first.
+        """Stop accepting requests; requests in flight drain first.
 
         Durable shard backends are closed cleanly (pending WAL appends
         synced), so a closed gateway's data directory always recovers."""
-        self._closed = True
-        self._pool.shutdown(wait=True)
+        with self._pending_lock:
+            self._closed = True
+            while self._pending:
+                self._drained.wait()
         for shard in self.shards:
             persistence = getattr(shard, "persistence", None)
             if persistence is not None:
@@ -663,10 +663,10 @@ class ShardedGateway:
     # -- dispatch machinery ----------------------------------------------
 
     def _dispatch(self, operation: str, shards: tuple, work) -> Response:
-        if self._closed:
-            self.metrics.observe_unavailable()
-            return unavailable("gateway is closed")
         with self._pending_lock:
+            if self._closed:
+                self.metrics.observe_unavailable()
+                return unavailable("gateway is closed")
             if self._pending >= self.max_queue_depth:
                 self.metrics.observe_backpressure()
                 return too_many_requests(
@@ -676,18 +676,19 @@ class ShardedGateway:
             self._pending += 1
         start = time.perf_counter()
         try:
-            try:
-                response = self._pool.submit(work).result()
-            except RuntimeError:  # pool shut down between check and submit
-                self.metrics.observe_unavailable()
-                return unavailable("gateway is closed")
+            response = work()
         finally:
-            with self._pending_lock:
-                self._pending -= 1
+            self._release(1)
         self.metrics.observe(
             operation, shards, response.status, time.perf_counter() - start
         )
         return response
+
+    def _release(self, slots: int) -> None:
+        with self._pending_lock:
+            self._pending -= slots
+            if not self._pending:
+                self._drained.notify_all()
 
     def _entity_of_form(self, form_name: str) -> str:
         entity = self._form_entities.get(form_name)
@@ -985,8 +986,9 @@ class ShardedGateway:
         shard are then grouped into chunks of at most ``write_batch_max``
         and applied through :meth:`WebApp.submit_batch` under a **single**
         shard-lock acquisition (and a single idempotency registration,
-        retry loop and cache invalidation) per chunk.  Chunks for
-        different shards run concurrently on the dispatch pool.
+        retry loop and cache invalidation) per chunk.  Chunks run one
+        after another on the caller's thread, and each admitted chunk
+        holds one in-flight slot until the batch returns.
 
         The response list is positional — ``responses[i]`` answers
         ``payloads[i]`` with the same statuses the unbatched path
@@ -1015,60 +1017,56 @@ class ShardedGateway:
                     (shard_index, positions[start:start + self.write_batch_max])
                 )
 
-        pending_futures = []
+        admitted: list[tuple[int, list[int]]] = []
         for shard_index, positions in chunks:
             with self._pending_lock:
-                admitted = self._pending < self.max_queue_depth
-                if admitted:
+                closed = self._closed
+                accepted = (
+                    not closed and self._pending < self.max_queue_depth
+                )
+                if accepted:
                     self._pending += 1
-            if not admitted:
-                for position in positions:
+            if accepted:
+                admitted.append((shard_index, positions))
+                continue
+            for position in positions:
+                if closed:
+                    self.metrics.observe_unavailable()
+                    responses[position] = unavailable("gateway is closed")
+                else:
                     self.metrics.observe_backpressure()
                     responses[position] = too_many_requests(
                         f"queue depth {self.max_queue_depth} exceeded",
                         retry_after=1,
                     )
-                continue
-            work = self._batch_work(
-                form_name, entity, payloads, placements, shard_index,
-                positions, user,
-            )
-            started = time.perf_counter()
-            try:
-                future = self._pool.submit(work)
-            except RuntimeError:  # pool shut down between check and submit
-                with self._pending_lock:
-                    self._pending -= 1
-                for position in positions:
-                    self.metrics.observe_unavailable()
-                    responses[position] = unavailable("gateway is closed")
-                continue
-            pending_futures.append((shard_index, positions, started, future))
 
-        for shard_index, positions, started, future in pending_futures:
-            try:
-                outcome = future.result()
-            finally:
-                with self._pending_lock:
-                    self._pending -= 1
-            statuses = []
-            for position in positions:
-                responses[position] = outcome[position]
-                statuses.append(outcome[position].status)
-            self.metrics.observe_batch("submit-batch", len(positions))
-            self.metrics.observe(
-                "submit-batch",
-                (shard_index,),
-                max(statuses),
-                time.perf_counter() - started,
-            )
+        try:
+            for shard_index, positions in admitted:
+                started = time.perf_counter()
+                outcome = self._batch_work(
+                    form_name, entity, payloads, placements, shard_index,
+                    positions, user,
+                )
+                statuses = []
+                for position in positions:
+                    responses[position] = outcome[position]
+                    statuses.append(outcome[position].status)
+                self.metrics.observe_batch("submit-batch", len(positions))
+                self.metrics.observe(
+                    "submit-batch",
+                    (shard_index,),
+                    max(statuses),
+                    time.perf_counter() - started,
+                )
+        finally:
+            self._release(len(admitted))
         return responses
 
     def _batch_work(
         self, form_name, entity, payloads, placements, shard_index,
         positions, user,
     ):
-        """Build the pooled callable applying one same-shard write chunk."""
+        """Apply one same-shard write chunk; ``{position: Response}``."""
         record_ids = [placements[position][0] for position in positions]
         rows = [payloads[position] for position in positions]
 
@@ -1090,21 +1088,16 @@ class ShardedGateway:
                 self._bump_entity_version(entity)
             return outcome
 
-        def work() -> dict:
-            try:
-                # record ids are globally unique, so the chunk's id tuple
-                # identifies this task across retries and duplicate replays
-                return self._call_shard(
-                    "submit-batch", shard_index, apply,
-                    idempotency_key=("submit-batch", entity, tuple(record_ids)),
-                )
-            except ShardUnavailable as exc:
-                self.metrics.observe_shed("submit-batch")
-                return {
-                    position: unavailable(str(exc)) for position in positions
-                }
-
-        return work
+        try:
+            # record ids are globally unique, so the chunk's id tuple
+            # identifies this task across retries and duplicate replays
+            return self._call_shard(
+                "submit-batch", shard_index, apply,
+                idempotency_key=("submit-batch", entity, tuple(record_ids)),
+            )
+        except ShardUnavailable as exc:
+            self.metrics.observe_shed("submit-batch")
+            return {position: unavailable(str(exc)) for position in positions}
 
     def modify(
         self,
@@ -1542,13 +1535,9 @@ class ShardedGateway:
             return self.submit(route.target, request.data, request.user)
         if route.kind == "list":
             return self.list(route.target, request.user)
-        raw_id = params.get("id")
-        if raw_id is None:
-            return bad_request("missing record id")
-        try:
-            record_id = int(raw_id)
-        except (TypeError, ValueError):
-            return bad_request(f"bad record id {raw_id!r}")
+        record_id, rejection = path_record_id(params.get("id"))
+        if rejection is not None:
+            return rejection
         if route.kind == "view":
             return self.view(route.target, record_id, request.user)
         rejection = malformed_body(request.data, versioned=True)

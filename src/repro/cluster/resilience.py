@@ -739,7 +739,6 @@ def run_chaos(
         fault_plan=plan,
         resilience=config,
         max_queue_depth=max(512, count),
-        workers=shard_count,
         persistence=factory,
     )
     try:

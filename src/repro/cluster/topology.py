@@ -223,7 +223,6 @@ def run_topology_chaos(
         fault_plan=plan,
         resilience=config,
         max_queue_depth=max(512, count),
-        workers=shard_count,
         persistence=factory,
         replicas=replicas,
         staleness_bound=staleness_bound,

@@ -32,13 +32,13 @@ from .forms import Form
 from .http import (
     Request,
     Response,
-    bad_request,
     conflict,
     created,
     forbidden,
     malformed_body,
     not_found,
     ok,
+    path_record_id,
     unprocessable,
 )
 from .routing import Handler, Router
@@ -450,15 +450,14 @@ class WebApp:
 
     def update_handler(self, form_name: str) -> Handler:
         def handle(request: Request) -> Response:
-            raw_id = request.params.get("id")
-            if raw_id is None:
-                return bad_request("missing record id")
+            record_id, rejection = path_record_id(request.params.get("id"))
+            if rejection is not None:
+                return rejection
             entity = self.form(form_name).entity
             try:
-                record_id = int(raw_id)
                 self.store.entity(entity).get(record_id)
-            except (ValueError, KeyError):
-                return not_found(f"no record {raw_id!r}")
+            except KeyError:
+                return not_found(f"no record {record_id}")
             rejection = malformed_body(request.data, versioned=True)
             if rejection is not None:
                 return rejection
@@ -493,13 +492,9 @@ class WebApp:
 
     def view_handler(self, entity: str) -> Handler:
         def handle(request: Request) -> Response:
-            raw_id = request.params.get("id")
-            if raw_id is None:
-                return bad_request("missing record id")
-            try:
-                record_id = int(raw_id)
-            except ValueError:
-                return bad_request(f"bad record id {raw_id!r}")
+            record_id, rejection = path_record_id(request.params.get("id"))
+            if rejection is not None:
+                return rejection
             try:
                 stored = self.read_record(entity, record_id, request.user)
             except AuthorizationError as exc:

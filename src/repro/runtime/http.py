@@ -21,7 +21,7 @@ NOT_FOUND = 404
 METHOD_NOT_ALLOWED = 405
 CONFLICT = 409  # optimistic concurrency failure
 UNPROCESSABLE = 422  # DQ validation failure
-TOO_MANY_REQUESTS = 429  # gateway backpressure: queue depth exceeded
+TOO_MANY_REQUESTS = 429  # gateway backpressure: too many in flight
 UNAVAILABLE = 503  # gateway not accepting requests (draining / closed)
 
 
@@ -36,6 +36,12 @@ class Request:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("method", "path"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise TypeError(
+                    f"{name} must be a string, not {type(value).__name__}"
+                )
         self.method = self.method.upper()
         if not self.path.startswith("/"):
             raise ValueError(f"path must start with '/': {self.path!r}")
@@ -127,6 +133,27 @@ def malformed_body(data, versioned: bool = False) -> Optional[Response]:
     return None
 
 
+def path_record_id(raw) -> tuple[Optional[int], Optional[Response]]:
+    """A path's record id as ``(id, None)``, or ``(None, 400 answer)``.
+
+    Only ASCII digits in canonical form name a record: no sign,
+    whitespace, underscore or leading zero.  ``int()`` alone would let
+    ``+1``, `` 1``, ``01`` and non-ASCII digits address record 1, and
+    ``1_0`` address record 10.
+    """
+    if raw is None:
+        return None, bad_request("missing record id")
+    if (
+        isinstance(raw, str) and raw.isascii() and raw.isdigit()
+        and (raw == "0" or not raw.startswith("0"))
+    ):
+        try:
+            return int(raw), None
+        except ValueError:  # more digits than int() converts
+            pass
+    return None, bad_request(f"bad record id {raw!r}")
+
+
 def forbidden(message: str = "forbidden") -> Response:
     return Response(FORBIDDEN, {"error": message})
 
@@ -146,7 +173,7 @@ def conflict(message: str = "version conflict") -> Response:
 def too_many_requests(
     message: str = "too many requests", retry_after: Optional[int] = None
 ) -> Response:
-    """Backpressure: the serving queue is full; try again later."""
+    """Backpressure: too many requests in flight; try again later."""
     headers = {} if retry_after is None else {"Retry-After": str(retry_after)}
     return Response(TOO_MANY_REQUESTS, {"error": message}, headers)
 

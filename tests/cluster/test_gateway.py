@@ -7,10 +7,17 @@ gateway's own contract: deterministic placement, backpressure (429) and
 drain (503).
 """
 
+import sys
+import threading
+import time
+from contextlib import contextmanager
+
 import pytest
 
 from repro.casestudy import easychair
 from repro.cluster import ShardedGateway
+from repro.persistence import persistence_factory
+from repro.runtime import audit as audit_events
 from repro.runtime.dqengine import build_app
 from repro.runtime.http import Request
 
@@ -201,6 +208,148 @@ class TestBackpressureAndDrain:
         assert gateway.metrics.rejected_unavailable == 3
 
 
+@contextmanager
+def holding_shard_locks(gw):
+    """Hold every shard lock, so admitted requests block inside the
+    gateway until the block exits."""
+    for lock in gw._shard_locks:
+        lock.acquire()
+    try:
+        yield
+    finally:
+        for lock in gw._shard_locks:
+            lock.release()
+
+
+def wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+def writer_threads(gw, count, responses):
+    def write():
+        responses.append(
+            gw.submit(FORM, easychair.complete_review(), "pc_member_1")
+        )
+
+    return [threading.Thread(target=write) for _ in range(count)]
+
+
+class TestCallerThreadDispatch:
+    def test_requests_start_no_thread(self, gateway):
+        before = threading.active_count()
+        record_id = submit_ok(gateway)
+        assert gateway.view(ENTITY, record_id, "chair").status == 200
+        assert gateway.list(ENTITY, "chair").status == 200
+        batch = gateway.submit_many(
+            FORM, [easychair.complete_review() for _ in range(6)],
+            "pc_member_1",
+        )
+        assert [r.status for r in batch] == [201] * 6
+        assert threading.active_count() == before
+
+    def test_requests_in_flight_past_the_bound_answer_429(self):
+        gw = ShardedGateway.from_design(
+            easychair.build_design(), shard_count=2, users=easychair.USERS,
+            max_queue_depth=3,
+        )
+        held: list = []
+        writers = writer_threads(gw, gw.max_queue_depth, held)
+        try:
+            with holding_shard_locks(gw):
+                for writer in writers:
+                    writer.start()
+                wait_until(lambda: gw._pending == gw.max_queue_depth)
+                refused = gw.submit(
+                    FORM, easychair.complete_review(), "pc_member_1"
+                )
+                assert refused.status == 429
+                assert refused.headers.get("Retry-After") == "1"
+                assert gw.metrics.rejected_backpressure == 1
+            for writer in writers:
+                writer.join(timeout=10)
+                assert not writer.is_alive()
+            assert [r.status for r in held] == [201] * gw.max_queue_depth
+            # the refused write stored nothing and audited nothing
+            held_ids = sorted(r.body["id"] for r in held)
+            stored = sorted(
+                event.record_id
+                for shard in gw.shards
+                for event in shard.audit.by_kind(audit_events.STORE)
+            )
+            assert stored == held_ids
+            assert gw.total_records() == len(held_ids)
+        finally:
+            gw.close()
+
+    def test_in_flight_count_settles_under_contention(self):
+        gw = ShardedGateway.from_design(
+            easychair.build_design(), shard_count=2, users=easychair.USERS,
+            max_queue_depth=2,
+        )
+        statuses: list = []
+
+        def client():
+            for _ in range(25):
+                statuses.append(gw.submit(
+                    FORM, easychair.complete_review(), "pc_member_1"
+                ).status)
+
+        clients = [threading.Thread(target=client) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        gw.close()  # returns only once no request is in flight
+        assert len(statuses) == 200 and set(statuses) <= {201, 429}
+        assert gw._pending == 0
+        assert gw.metrics.rejected_backpressure == statuses.count(429)
+        assert gw.total_records() == statuses.count(201)
+
+    def test_close_drains_a_write_in_flight(self, tmp_path):
+        def fleet():
+            return ShardedGateway.from_design(
+                easychair.build_design(), shard_count=2,
+                users=easychair.USERS,
+                persistence=persistence_factory(tmp_path, kind="file"),
+            )
+
+        gw = fleet()
+        held: list = []
+        (writer,) = writer_threads(gw, 1, held)
+        closer = threading.Thread(target=gw.close)
+        with holding_shard_locks(gw):
+            writer.start()
+            wait_until(lambda: gw._pending == 1)
+            closer.start()
+            closer.join(timeout=0.2)
+            assert closer.is_alive()  # waiting on the held write
+            wait_until(lambda: gw._closed)
+            assert gw.submit(
+                FORM, easychair.complete_review(), "pc_member_1"
+            ).status == 503
+        writer.join(timeout=10)
+        closer.join(timeout=10)
+        assert not writer.is_alive() and not closer.is_alive()
+        assert [r.status for r in held] == [201]
+        rebuilt = fleet()
+        try:
+            assert rebuilt.total_records() == 1
+            assert rebuilt.view(
+                ENTITY, held[0].body["id"], "chair"
+            ).status == 200
+        finally:
+            rebuilt.close()
+
+
 class TestHttpFacade:
     def test_full_crud_over_paths(self, gateway):
         created = gateway.post(
@@ -236,6 +385,7 @@ def _single_app():
     for name, level, roles in easychair.USERS:
         app.add_user(name, level, roles)
     app.route(f"{CREATE_PATH}/<id>", "PUT", app.update_handler(FORM))
+    app.route(f"{CREATE_PATH}/<id>", "GET", app.view_handler(ENTITY))
     return app
 
 
@@ -276,6 +426,51 @@ def test_malformed_write_bodies_answer_400(facade, method, body):
         )
         assert response.status == 400, response.body
         assert "error" in response.body
+    finally:
+        if facade == "gateway":
+            server.close()
+
+
+@pytest.mark.parametrize("facade", ["gateway", "app"])
+@pytest.mark.parametrize("method", ["GET", "PUT"])
+@pytest.mark.parametrize("raw_id", [
+    "+1", " 1", "1 ", "01", "\u0661", "1_0", "-1", "1.0", "abc", "9" * 5000,
+], ids=[
+    "plus", "leading-space", "trailing-space", "leading-zero",
+    "arabic-indic-one", "underscore", "minus", "decimal-point", "letters",
+    "too-many-digits",
+])
+def test_malformed_record_ids_answer_400(facade, method, raw_id):
+    # only canonical ASCII digits name a record: int() alone would let
+    # "+1", " 1", "01" and "\u0661" serve (or overwrite) record 1 and
+    # "1_0" address record 10
+    if facade == "gateway":
+        server = ShardedGateway.from_design(
+            easychair.build_design(), shard_count=2, users=easychair.USERS
+        )
+    else:
+        server = _single_app()
+    try:
+        for _ in range(10):
+            created = server.handle(Request(
+                "POST", CREATE_PATH, user="pc_member_1",
+                data=easychair.complete_review(),
+            ))
+            assert created.status == 201
+        data = (
+            {"detailed_comments": "overwritten"} if method == "PUT" else {}
+        )
+        response = server.handle(Request(
+            method, f"{CREATE_PATH}/{raw_id}", user="pc_member_1", data=data,
+        ))
+        assert response.status == 400, response.body
+        assert "error" in response.body
+        for record_id in (1, 10):
+            stored = server.handle(
+                Request("GET", f"{CREATE_PATH}/{record_id}", user="chair")
+            )
+            assert stored.status == 200
+            assert stored.body["detailed_comments"] != "overwritten"
     finally:
         if facade == "gateway":
             server.close()

@@ -31,7 +31,6 @@ def test_soak_eight_threads_thousand_requests_zero_violations():
         shard_count=4,
         users=easychair.USERS,
         max_queue_depth=256,
-        workers=8,
     )
     try:
         # preload so reads and updates have targets from the first tick
@@ -64,24 +63,3 @@ def test_soak_eight_threads_thousand_requests_zero_violations():
     finally:
         gateway.close()
 
-
-@pytest.mark.slow
-def test_soak_tiny_queue_backpressures_instead_of_queueing_unbounded():
-    gateway = ShardedGateway.from_design(
-        easychair.build_design(),
-        shard_count=2,
-        users=easychair.USERS,
-        max_queue_depth=2,
-        workers=1,
-    )
-    try:
-        generator = LoadGenerator(seed=7)
-        report = generator.run(gateway, count=400, threads=8)
-        assert report.backpressured > 0
-        assert (
-            gateway.metrics.rejected_backpressure == report.backpressured
-        )
-        # backpressured requests changed nothing and audited nothing
-        assert verify_guarantees(gateway, report) == []
-    finally:
-        gateway.close()

@@ -269,7 +269,7 @@ def test_field_and_clearance_indexes_match_oracles_after_chaos():
     gateway = ShardedGateway.from_design(
         easychair.build_design(), shard_count=3, users=easychair.USERS,
         fault_plan=plan, resilience=ResilienceConfig(),
-        max_queue_depth=1024, workers=3,
+        max_queue_depth=1024,
     )
     try:
         rng = random.Random(seed)

@@ -132,7 +132,7 @@ def test_live_cluster_scorecard_survives_seeded_faults(seed):
     )
     gateway = ShardedGateway.from_design(
         easychair.build_design(), shard_count=2, users=easychair.USERS,
-        fault_plan=plan, resilience=config, max_queue_depth=512, workers=2,
+        fault_plan=plan, resilience=config, max_queue_depth=512,
     )
     try:
         spec = LoadGenerator(seed=seed).spec

@@ -24,6 +24,18 @@ class TestRequestResponse:
         with pytest.raises(ValueError):
             Request("GET", "relative")
 
+    @pytest.mark.parametrize("method, path, field", [
+        (None, "/x", "method"),
+        (5, "/x", "method"),
+        ("GET", None, "path"),
+        ("GET", b"/x", "path"),
+    ])
+    def test_non_string_method_or_path_is_a_type_error(
+        self, method, path, field
+    ):
+        with pytest.raises(TypeError, match=f"^{field} must be a string"):
+            Request(method, path)
+
     def test_response_ok_predicate(self):
         assert ok().ok
         assert created().ok
