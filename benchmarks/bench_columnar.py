@@ -113,7 +113,7 @@ def test_zone_pruned_miss(benchmark, kernel_mode):
     assert found == []
 
 
-def test_readable_snapshots(benchmark):
+def test_readable_rows(benchmark):
     """A confidentiality-filtered read off the cached readable-id set."""
     spec, _form, rows = _bound_rows(1_000)
     content = ContentStore(Clock())
@@ -125,10 +125,10 @@ def test_readable_snapshots(benchmark):
             security_level=rng.randint(0, 2),
         )
     entity = content.entity(spec.entity)
-    entity.readable_snapshots("bob", 1)  # warm the id-set cache
+    entity.readable_rows("bob", 1)  # warm the id-set cache
 
-    readable = benchmark(entity.readable_snapshots, "bob", 1)
-    assert isinstance(readable, tuple) and readable
+    readable = benchmark(entity.readable_rows, "bob", 1)
+    assert isinstance(readable, list) and readable
 
 
 def test_column_absorption(benchmark, kernel_mode):

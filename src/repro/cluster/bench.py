@@ -1298,7 +1298,7 @@ def run_columnar_bench(
        column path (``absorb`` of per-column spine slices) and the row
        walk; both accumulators must report bit-equal stats.
     3. **Column scans** — ``find_by`` (column equality scan, then
-       indexed) and ``readable_snapshots`` against their predicate-scan
+       indexed) and ``readable_rows`` against their predicate-scan
        oracles: identical results required.
     """
     from repro.casestudy import easychair
@@ -1496,8 +1496,7 @@ def run_columnar_bench(
     conf_store = content.entity(spec.entity)
     for user, level in (("ada", 2), ("bob", 1), ("eve", 0)):
         via_index = sorted(
-            record.record_id
-            for record in conf_store.readable_snapshots(user, level)
+            row["id"] for row in conf_store.readable_rows(user, level)
         )
         via_scan = sorted(
             record.record_id

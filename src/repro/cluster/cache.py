@@ -13,67 +13,59 @@ the paper's Confidentiality DQSR intact under caching:
 
 Entries are stored *frozen* and thawed per hit, so a caller mutating a
 served body can never poison the cache — the same defensive-copy
-discipline the :mod:`repro.runtime.storage` read path follows.  Freezing
-mirrors the store's copy-on-write snapshots: the common gateway bodies
-(a list of flat rows, or one flat row, all values immutable) are kept as
-private shallow copies and thawed by shallow copy again — C-speed dict
-copies instead of a JSON round-trip per hit.  Anything else falls back
-to the JSON-text (or deepcopy) representation as before.
+discipline the :mod:`repro.runtime.storage` read path follows.  A
+:class:`FrozenBody` has two modes, chosen by storage's verdict rather
+than by walking the values again: a body whose values are all immutable
+(``Rows.shareable`` for a list, ``StoredRecord.shareable`` for a view)
+is kept as private shallow copies of its rows and thawed by shallow copy
+again — C-speed dict copies; any other body is kept and thawed by
+``copy.deepcopy``, so every value keeps its type.  The gateway freezes
+each served read once and hands the same :class:`FrozenBody` to the
+read cache and to :class:`LastGoodStore`; both only ever thaw it, so
+sharing it is safe.
 """
 
 from __future__ import annotations
 
 import copy
-import json
 import threading
 from collections import OrderedDict
-
-from repro.runtime.storage import _values_shareable
 
 #: Key kinds (first element of every cache key).
 LIST = "list"
 VIEW = "view"
 
-#: Frozen-body representations.
-_ROWS = "rows"        # list of flat dicts, every value immutable
-_MAPPING = "mapping"  # one flat dict, every value immutable
-_JSON = "json"        # JSON text round-trip
-_DEEP = "deep"        # deepcopy fallback
+
+def _thaw_rows(rows: tuple) -> list:
+    return list(map(dict, rows))
 
 
-class _Frozen:
-    """One cached body, stored in a caller-proof representation."""
+class FrozenBody:
+    """One served read body, stored in a caller-proof representation.
 
-    __slots__ = ("_mode", "_value")
+    ``shareable`` is storage's verdict that every value in the body is
+    immutable: the body (a list of flat rows, or one flat row) is then
+    kept as private shallow copies — the caller may mutate the body it
+    handed in, or was served, without reaching them.  Otherwise the
+    body is deep-copied on the way in and on every thaw.
+    """
 
-    def __init__(self, body):
-        if isinstance(body, list) and all(
-            isinstance(row, dict) and _values_shareable(row) for row in body
-        ):
-            # private shallow copies: the caller may mutate the body it
-            # handed in (or was served) without reaching these
-            self._mode = _ROWS
-            self._value = tuple(dict(row) for row in body)
-            return
-        if isinstance(body, dict) and _values_shareable(body):
-            self._mode = _MAPPING
-            self._value = dict(body)
-            return
-        try:
-            self._value = json.dumps(body)
-            self._mode = _JSON
-        except (TypeError, ValueError):
+    __slots__ = ("_value", "_thaw")
+
+    def __init__(self, body, shareable: bool):
+        if not shareable:
             self._value = copy.deepcopy(body)
-            self._mode = _DEEP
+            self._thaw = copy.deepcopy
+        elif isinstance(body, dict):
+            self._value = dict(body)
+            self._thaw = dict
+        else:
+            self._value = tuple(map(dict, body))
+            self._thaw = _thaw_rows
 
     def thaw(self):
-        if self._mode is _ROWS:
-            return [dict(row) for row in self._value]
-        if self._mode is _MAPPING:
-            return dict(self._value)
-        if self._mode is _JSON:
-            return json.loads(self._value)
-        return copy.deepcopy(self._value)
+        """A fresh copy of the body for one caller."""
+        return self._thaw(self._value)
 
 
 class CacheStats:
@@ -114,7 +106,7 @@ class ReadThroughCache:
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         self.capacity = capacity
-        self._entries: OrderedDict[tuple, _Frozen] = OrderedDict()
+        self._entries: OrderedDict[tuple, FrozenBody] = OrderedDict()
         self._by_entity: dict[str, set[tuple]] = {}
         self._lock = threading.Lock()
         self.stats = CacheStats()
@@ -138,13 +130,14 @@ class ReadThroughCache:
             self.stats.hits += 1
             return frozen.thaw()
 
-    def fill(self, key: tuple, body) -> None:
-        """Store a freshly read body under ``key`` (read-through fill)."""
+    def fill(self, key: tuple, frozen: FrozenBody) -> None:
+        """Store a freshly read, frozen body under ``key`` (read-through
+        fill)."""
         if self.capacity == 0:
             return
         entity = key[1]
         with self._lock:
-            self._entries[key] = _Frozen(body)
+            self._entries[key] = frozen
             self._entries.move_to_end(key)
             self._by_entity.setdefault(entity, set()).add(key)
             while len(self._entries) > self.capacity:
@@ -205,15 +198,17 @@ class LastGoodStore:
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         self.capacity = capacity
-        self._entries: OrderedDict[tuple, tuple[_Frozen, int]] = OrderedDict()
+        self._entries: OrderedDict[tuple, tuple[FrozenBody, int]] = (
+            OrderedDict()
+        )
         self._lock = threading.Lock()
 
-    def remember(self, key: tuple, body, version: int) -> None:
-        """Record a freshly served body as the new last-known-good."""
+    def remember(self, key: tuple, frozen: FrozenBody, version: int) -> None:
+        """Record a freshly served, frozen body as the new last-known-good."""
         if self.capacity == 0:
             return
         with self._lock:
-            self._entries[key] = (_Frozen(body), version)
+            self._entries[key] = (frozen, version)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)

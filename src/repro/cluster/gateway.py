@@ -50,6 +50,7 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from repro.core.errors import (
@@ -79,7 +80,7 @@ from repro.runtime.http import (
     unprocessable,
 )
 
-from .cache import LastGoodStore, ReadThroughCache
+from .cache import FrozenBody, LastGoodStore, ReadThroughCache
 from .metrics import GatewayMetrics
 from .replication import ReplicaSet, ReplicationLog
 from .resilience import (
@@ -929,20 +930,31 @@ class ShardedGateway:
         self.metrics.observe_shed(operation)
         return unavailable(str(exc))
 
-    def _cache_fill(self, key: tuple, body) -> None:
-        """A read-through fill, subject to injected cache-fill failures
-        (a failed fill loses only performance, never correctness)."""
+    def _keep_read(
+        self, key: Optional[tuple], base_key: tuple, body,
+        shareable: bool, version: int,
+    ) -> None:
+        """Freeze a served read body once and give the same frozen body
+        to the read cache (under ``key``; ``None`` bypasses it) and the
+        last-good store.  Both only ever thaw it, so sharing is safe.
+        An injected cache-fill failure loses only performance, never
+        correctness."""
         if (
-            self.fault_injector is not None
+            key is not None
+            and self.fault_injector is not None
             and self.fault_injector.cache_fill_fails()
         ):
             self.metrics.observe_fault(CACHE_FILL)
+            key = None
+        fill = key is not None and self.cache.capacity > 0
+        remember = self._last_good is not None and self._last_good.capacity > 0
+        if not (fill or remember):
             return
-        self.cache.fill(key, body)
-
-    def _remember_good(self, base_key: tuple, body, version: int) -> None:
-        if self._last_good is not None:
-            self._last_good.remember(base_key, body, version)
+        frozen = FrozenBody(body, shareable)
+        if fill:
+            self.cache.fill(key, frozen)
+        if remember:
+            self._last_good.remember(base_key, frozen, version)
 
     # -- operations -------------------------------------------------------
 
@@ -1171,28 +1183,26 @@ class ShardedGateway:
 
         def work() -> Response:
             body: list[dict] = []
+            shareable = True
             max_lag = 0
             try:
                 for shard_index in self.router.all_shards():
-                    visible, lag = self._call_shard(
+                    rows, lag = self._call_shard(
                         "list", shard_index,
                         lambda app, shard_index=shard_index:
                         read(app, shard_index),
                     )
-                    body.extend(
-                        {"id": s.record_id, "version": s.version, **s.data}
-                        for s in visible
-                    )
+                    body.extend(rows)
+                    shareable = shareable and rows.shareable
                     max_lag = max(max_lag, lag)
             except ShardUnavailable as exc:
                 # any shard missing means the gather is incomplete; a
                 # silently partial listing would violate Completeness, so
                 # degrade the WHOLE read (tagged) rather than serve a hole
                 return self._degraded_read("list", entity, base_key, exc)
-            body.sort(key=lambda row: row["id"])
+            body.sort(key=itemgetter("id"))
             if not followers:
-                self._cache_fill(key, body)
-                self._remember_good(base_key, body, version)
+                self._keep_read(key, base_key, body, shareable, version)
                 return ok(body)
             # a record mid-migration can briefly exist on two shards
             # (adopted by the recipient, retire not yet replayed on a
@@ -1204,7 +1214,7 @@ class ShardedGateway:
                         deduped[-1] = row
                 else:
                     deduped.append(row)
-            self._remember_good(base_key, deduped, version)
+            self._keep_read(None, base_key, deduped, shareable, version)
             return replica_read(
                 deduped, lag=max_lag, bound=self.staleness_bound
             )
@@ -1238,10 +1248,13 @@ class ShardedGateway:
                 return ok(cached)
 
             def apply(app: WebApp, shard_index: int) -> Response:
-                response = self._read_record(app, entity, record_id, user)
+                response, shareable = self._read_record(
+                    app, entity, record_id, user
+                )
                 if response.status == 200:
-                    self._cache_fill(key, response.body)
-                    self._remember_good(base_key, response.body, version)
+                    self._keep_read(
+                        key, base_key, response.body, shareable, version
+                    )
                 return response
 
         shard_index = self.router.shard_for(entity, record_id)
@@ -1271,17 +1284,18 @@ class ShardedGateway:
     @staticmethod
     def _read_record(
         app: WebApp, entity: str, record_id: int, user: str
-    ) -> Response:
-        """One authoritative record read: 200, 403 or 404."""
+    ) -> tuple[Response, bool]:
+        """One authoritative record read — 200, 403 or 404 — and
+        storage's verdict that the body's values are all immutable."""
         try:
             stored = app.read_record(entity, record_id, user)
         except AuthorizationError as exc:
-            return forbidden(str(exc))
+            return forbidden(str(exc)), False
         except KeyError:
-            return not_found(f"no record {record_id}")
+            return not_found(f"no record {record_id}"), False
         return ok({
             "id": stored.record_id, "version": stored.version, **stored.data,
-        })
+        }), stored.shareable
 
     # -- follower reads ---------------------------------------------------
 
@@ -1324,7 +1338,7 @@ class ShardedGateway:
             stored = follower.store.entity(entity).get(record_id)
         except KeyError:
             # behind the primary (or truly absent): answer authoritatively
-            return self._read_record(primary, entity, record_id, user)
+            return self._read_record(primary, entity, record_id, user)[0]
         account = follower.users.get(user)
         if not stored.metadata.accessible_by(user, account.level):
             primary.audit.record(
@@ -1347,12 +1361,12 @@ class ShardedGateway:
         lag = self._refresh_followers(shard_index, primary)
         follower = self.replica_sets[shard_index].follower()
         account = follower.users.get(user)
-        visible = follower.store.readable_by(entity, user, account.level)
+        rows = follower.store.readable_by(entity, user, account.level)
         primary.audit.record(
             audit_events.READ, user, entity,
-            detail=f"{len(visible)} record(s) visible",
+            detail=f"{len(rows)} record(s) visible",
         )
-        return visible, lag
+        return rows, lag
 
     # -- live topology changes --------------------------------------------
 

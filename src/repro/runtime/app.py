@@ -43,7 +43,7 @@ from .http import (
 )
 from .routing import Handler, Router
 from .security import PolicyBook, UserDirectory
-from .storage import ContentStore, StoredRecord
+from .storage import ContentStore, Rows, StoredRecord
 from .vpipeline import PlanCache, ValidationStats
 
 
@@ -404,15 +404,20 @@ class WebApp:
         self.commit()
         return result
 
-    def read(self, entity: str, user: str) -> Sequence[StoredRecord]:
-        """Confidentiality-filtered read of an entity's records."""
+    def read(self, entity: str, user: str) -> Rows:
+        """Confidentiality-filtered read of an entity's records, audited.
+
+        One ``{"id", "version", **data}`` row per record the user may
+        read, each a fresh dict the caller owns, carrying storage's
+        ``shareable`` verdict (see :class:`~repro.runtime.storage.Rows`).
+        """
         account = self.users.get(user)
-        visible = self.store.readable_by(entity, user, account.level)
+        rows = self.store.readable_by(entity, user, account.level)
         self.audit.record(
             audit_events.READ, user, entity,
-            detail=f"{len(visible)} record(s) visible",
+            detail=f"{len(rows)} record(s) visible",
         )
-        return visible
+        return rows
 
     def read_record(
         self, entity: str, record_id: int, user: str
@@ -480,13 +485,13 @@ class WebApp:
 
     def list_handler(self, entity: str) -> Handler:
         def handle(request: Request) -> Response:
-            visible = self.read(entity, request.user)
-            return ok(
-                [
-                    {"id": s.record_id, **s.data}
-                    for s in visible
-                ]
-            )
+            rows = self.read(entity, request.user)
+            # the body is ``{"id", **data}``: drop the row's record
+            # version unless a declared field of that name shadows it
+            if "version" not in self.store.entity(entity).fields:
+                for row in rows:
+                    del row["version"]
+            return ok(list(rows))
 
         return handle
 

@@ -9,9 +9,10 @@ metadata.
 Concurrency contract (used by :mod:`repro.cluster`): every public
 operation is guarded by a per-entity re-entrant lock, and the **read path**
 (:meth:`EntityStore.get`, :meth:`EntityStore.all`,
-:meth:`EntityStore.query`, :meth:`ContentStore.readable_by`) hands out
-defensive *snapshots* — mutating a snapshot (or updating the store after
-taking one) never changes the other side.  The **write path**
+:meth:`EntityStore.query`) hands out defensive *snapshots*, and
+:meth:`ContentStore.readable_by` defensive response *rows* — mutating
+either (or updating the store after taking one) never changes the other
+side.  The **write path**
 (:meth:`EntityStore.insert`, :meth:`EntityStore.update`,
 :meth:`ContentStore.store`, :meth:`ContentStore.modify`) keeps returning
 the live record so metadata stamping works as before.
@@ -64,6 +65,20 @@ def _value_shareable(value) -> bool:
 def _values_shareable(data: dict) -> bool:
     """May a shallow copy of ``data`` share every value with the store?"""
     return all(_value_shareable(value) for value in data.values())
+
+
+class Rows(list):
+    """The ``{"id", "version", **data}`` rows of one confidentiality-
+    filtered read, each a fresh dict the caller owns, plus storage's
+    verdict on them: ``shareable`` is True when every value in every row
+    is immutable (``StoredRecord.shareable`` of every record read), so a
+    holder may keep shallow copies of the rows instead of deep ones."""
+
+    __slots__ = ("shareable",)
+
+    def __init__(self, rows=(), shareable: bool = True):
+        super().__init__(rows)
+        self.shareable = shareable
 
 
 class IdAllocator:
@@ -212,7 +227,10 @@ class StoredRecord:
     ``version`` starts at 1 and increments on every update — the handle
     for optimistic-concurrency checks on modification.  ``shareable``
     (internal) records whether every data value is immutable, i.e.
-    whether a snapshot may structurally share them.
+    whether a snapshot may structurally share them.  Every read trusts
+    it, so every write keeps it exact: an update judges only its delta
+    while the record is shareable, and the whole published dict when
+    it is not.
     """
 
     record_id: int
@@ -245,6 +263,7 @@ class StoredRecord:
                     extra=copy.deepcopy(meta.extra),
                 ),
                 self.version,
+                self.shareable,
             )
         extra = meta.extra
         if extra:
@@ -1209,7 +1228,9 @@ class EntityStore:
                 self._unindex_field_values(record_id, stored)
             old_data = stored.data
             stored.data = {**old_data, **data}
-            stored.shareable = stored.shareable and _values_shareable(data)
+            stored.shareable = _values_shareable(
+                data if stored.shareable else stored.data
+            )
             stored.version += 1
             for field_name in self._field_indexes:
                 self._index_field_value(field_name, stored, record_id)
@@ -1309,8 +1330,8 @@ class EntityStore:
                 self._unindex_field_values(record_id, stored)
             old_data = stored.data
             stored.data = {**old_data, **data}
-            stored.shareable = (
-                stored.shareable and _values_shareable(data)
+            stored.shareable = _values_shareable(
+                data if stored.shareable else stored.data
             )
             stored.version = (
                 version if version is not None else stored.version + 1
@@ -1505,7 +1526,7 @@ class EntityStore:
         Unlike :meth:`query` the predicate sees the full record (metadata
         included), and only the matching records pay the copy cost — this
         is the index-free *oracle* for the confidentiality-filtered read
-        path (:meth:`readable_snapshots` is the indexed equivalent).
+        path (:meth:`readable_rows` is the indexed equivalent).
         """
         deep = deep or self.deep_snapshots
         with self._lock:
@@ -1514,37 +1535,48 @@ class EntityStore:
                 if predicate(s)
             ]
 
-    def readable_snapshots(
-        self, user: str, user_level: int, deep: bool = False
-    ) -> tuple[StoredRecord, ...]:
-        """Confidentiality-filtered snapshots via the hash index.
+    def readable_rows(self, user: str, user_level: int) -> Rows:
+        """The records ``(user, user_level)`` may read, as response rows.
 
-        Semantically identical to ``select_snapshots(lambda s:
-        s.metadata.accessible_by(user, user_level))`` — the property
-        tests hold the two paths equal — but the per-record Python
-        predicate is replaced by set unions and C-speed membership
-        checks.  Insertion order is preserved.  Returns a **tuple**
-        (read results are never mutated in place), built straight from
-        the cached readable-id set: repeated reads by the same principal
-        between writes rebuild neither the id set nor any intermediate
-        list, and only matching rows are materialized.
+        Semantically identical to building ``{"id", "version", **data}``
+        from ``select_snapshots(lambda s: s.metadata.accessible_by(user,
+        user_level))`` — the property tests hold the two equal, in
+        order — but the per-record predicate is replaced by the cached
+        readable-id set of the clearance index, and each row is built
+        straight from the live record under the entity lock: no
+        :class:`StoredRecord` or metadata clone.  A shareable record's
+        values are shared (the store never mutates a published dict);
+        any other record's data, and every record's under
+        ``deep_snapshots``, is deep-copied.  Insertion order is
+        preserved.
         """
-        deep = deep or self.deep_snapshots
         with self._lock:
             readable = self._confidentiality.readable_ids(user, user_level)
-            if not readable:
-                return ()
             records = self._records
+            if not readable:
+                return Rows()
             if len(readable) == len(records):
-                return tuple(s.snapshot(deep) for s in records.values())
-            if not self._irregular and len(readable) * 4 <= len(records):
-                ordered = sorted(readable, key=self._slots.__getitem__)
-                return tuple(records[rid].snapshot(deep) for rid in ordered)
-            return tuple(
-                s.snapshot(deep)
-                for record_id, s in records.items()
-                if record_id in readable
-            )
+                chosen = records.values()
+            elif not self._irregular and len(readable) * 4 <= len(records):
+                chosen = [
+                    records[rid]
+                    for rid in sorted(readable, key=self._slots.__getitem__)
+                ]
+            else:
+                chosen = [
+                    s for record_id, s in records.items()
+                    if record_id in readable
+                ]
+            deep = self.deep_snapshots
+            return Rows([
+                {
+                    "id": s.record_id,
+                    "version": s.version,
+                    **(copy.deepcopy(s.data) if deep or not s.shareable
+                       else s.data),
+                }
+                for s in chosen
+            ], all(s.shareable for s in chosen))
 
     def __len__(self) -> int:
         with self._lock:
@@ -1698,14 +1730,17 @@ class ContentStore:
 
     def readable_by(
         self, entity_name: str, user: str, user_level: int
-    ) -> tuple[StoredRecord, ...]:
+    ) -> Rows:
         """Confidentiality-filtered read (the paper's Confidentiality DQR).
 
-        Served from the per-entity clearance index; the full-scan
-        predicate path (:meth:`EntityStore.select_snapshots`) remains as
-        the oracle the property tests compare against.
+        Answers :meth:`EntityStore.readable_rows`: one fresh
+        ``{"id", "version", **data}`` row per readable record, built from
+        the live records off the per-entity clearance index, carrying
+        storage's ``shareable`` verdict.  The full-scan predicate path
+        (:meth:`EntityStore.select_snapshots`) remains as the oracle the
+        property tests compare against.
         """
-        return self.entity(entity_name).readable_snapshots(user, user_level)
+        return self.entity(entity_name).readable_rows(user, user_level)
 
     def total_records(self) -> int:
         with self._lock:

@@ -2,11 +2,21 @@
 
 import pytest
 
-from repro.cluster.cache import LastGoodStore, ReadThroughCache
+from repro.cluster.cache import FrozenBody, LastGoodStore, ReadThroughCache
+from repro.runtime.storage import _values_shareable
 
 
 def make_cache(capacity=8):
     return ReadThroughCache(capacity)
+
+
+def frozen(body):
+    """``body`` frozen under the verdict storage would give it: shareable
+    when it is one flat row, or a list of them, with immutable values."""
+    rows = body if isinstance(body, list) else [body]
+    return FrozenBody(body, all(
+        isinstance(row, dict) and _values_shareable(row) for row in rows
+    ))
 
 
 class TestLookupAndFill:
@@ -14,7 +24,7 @@ class TestLookupAndFill:
         cache = make_cache()
         key = cache.list_key("reviews", "ada", 1)
         assert cache.lookup(key) is None
-        cache.fill(key, [{"id": 1}])
+        cache.fill(key, frozen([{"id": 1}]))
         assert cache.lookup(key) == [{"id": 1}]
         assert cache.stats.hits == 1 and cache.stats.misses == 1
         assert cache.stats.hit_rate == 0.5
@@ -23,7 +33,7 @@ class TestLookupAndFill:
         cache = make_cache()
         cleared = cache.list_key("reviews", "ada", 2)
         uncleared = cache.list_key("reviews", "eve", 0)
-        cache.fill(cleared, [{"id": 1, "secret": "x"}])
+        cache.fill(cleared, frozen([{"id": 1, "secret": "x"}]))
         # the uncleared user's key can never see the cleared body
         assert cache.lookup(uncleared) is None
         # even the same user under a different clearance misses
@@ -31,14 +41,14 @@ class TestLookupAndFill:
 
     def test_view_and_list_keys_distinct(self):
         cache = make_cache()
-        cache.fill(cache.list_key("reviews", "ada", 1), [])
+        cache.fill(cache.list_key("reviews", "ada", 1), frozen([]))
         assert cache.lookup(cache.view_key("reviews", 1, "ada", 1)) is None
 
     def test_served_body_is_caller_proof(self):
         cache = make_cache()
         key = cache.view_key("reviews", 1, "ada", 1)
         body = {"id": 1, "score": 3}
-        cache.fill(key, body)
+        cache.fill(key, frozen(body))
         body["score"] = 99  # mutating the filled value
         served = cache.lookup(key)
         assert served["score"] == 3
@@ -49,19 +59,68 @@ class TestLookupAndFill:
         cache = make_cache()
         key = cache.view_key("reviews", 1, "ada", 1)
         body = {"id": 1, "tags": {"a", "b"}}  # sets are not JSON
-        cache.fill(key, body)
+        cache.fill(key, frozen(body))
         served = cache.lookup(key)
         assert served["tags"] == {"a", "b"}
         served["tags"].add("c")
         assert cache.lookup(key)["tags"] == {"a", "b"}
 
 
+def same_typed(left, right) -> bool:
+    """Equal in value and in type at every level (``==`` alone takes
+    ``1.0`` for ``1`` and ``True`` for ``1``)."""
+    if type(left) is not type(right):
+        return False
+    if isinstance(left, dict):
+        return (
+            [(type(k), k) for k in left] == [(type(k), k) for k in right]
+            and all(same_typed(left[k], right[k]) for k in left)
+        )
+    if isinstance(left, (list, tuple)):
+        return len(left) == len(right) and all(
+            same_typed(a, b) for a, b in zip(left, right)
+        )
+    return left == right
+
+
+class TestFreezeKeepsValueTypes:
+    BODY = {"id": 1, "tags": ["a", ("b", 1)], "n": {1: "x"}, "w": 1.0}
+
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_both_stores_serve_the_body_they_were_given(self, as_list):
+        body = [dict(self.BODY)] if as_list else dict(self.BODY)
+        filled = frozen(body)
+        cache = make_cache()
+        last_good = LastGoodStore()
+        key = cache.view_key("reviews", 1, "ada", 1)
+        cache.fill(key, filled)
+        last_good.remember(key, filled, 4)
+        served = cache.lookup(key)
+        remembered, version = last_good.lookup(key)
+        assert version == 4
+        for copy_ in (served, remembered):
+            assert copy_ == body and same_typed(copy_, body)
+        # every thaw is a private deep copy
+        (served[0] if as_list else served)["tags"][1] = "poison"
+        assert same_typed(cache.lookup(key), body)
+        assert same_typed(last_good.lookup(key)[0], body)
+
+    def test_shareable_rows_thaw_to_fresh_dicts(self):
+        rows = [{"id": 1, "t": ("a", 1)}, {"id": 2, "t": None}]
+        filled = FrozenBody(rows, True)
+        first, second = filled.thaw(), filled.thaw()
+        assert first == second == rows
+        assert same_typed(first, rows)
+        assert all(a is not b for a, b in zip(first, rows))
+        assert all(a is not b for a, b in zip(first, second))
+
+
 class TestInvalidationAndEviction:
     def test_write_path_invalidation_drops_entity_entries(self):
         cache = make_cache()
-        cache.fill(cache.list_key("reviews", "ada", 1), [1])
-        cache.fill(cache.list_key("reviews", "bob", 1), [2])
-        cache.fill(cache.list_key("papers", "ada", 1), [3])
+        cache.fill(cache.list_key("reviews", "ada", 1), frozen([1]))
+        cache.fill(cache.list_key("reviews", "bob", 1), frozen([2]))
+        cache.fill(cache.list_key("papers", "ada", 1), frozen([3]))
         dropped = cache.invalidate_entity("reviews")
         assert dropped == 2
         assert cache.lookup(cache.list_key("reviews", "ada", 1)) is None
@@ -73,10 +132,10 @@ class TestInvalidationAndEviction:
         k1 = cache.view_key("e", 1, "u", 0)
         k2 = cache.view_key("e", 2, "u", 0)
         k3 = cache.view_key("e", 3, "u", 0)
-        cache.fill(k1, {"id": 1})
-        cache.fill(k2, {"id": 2})
+        cache.fill(k1, frozen({"id": 1}))
+        cache.fill(k2, frozen({"id": 2}))
         cache.lookup(k1)  # refresh k1; k2 becomes LRU
-        cache.fill(k3, {"id": 3})
+        cache.fill(k3, frozen({"id": 3}))
         assert cache.lookup(k2) is None
         assert cache.lookup(k1) == {"id": 1}
         assert cache.stats.evictions == 1
@@ -84,13 +143,13 @@ class TestInvalidationAndEviction:
     def test_zero_capacity_disables_caching(self):
         cache = make_cache(capacity=0)
         key = cache.list_key("e", "u", 0)
-        cache.fill(key, [1])
+        cache.fill(key, frozen([1]))
         assert cache.lookup(key) is None
         assert len(cache) == 0
 
     def test_clear(self):
         cache = make_cache()
-        cache.fill(cache.list_key("e", "u", 0), [1])
+        cache.fill(cache.list_key("e", "u", 0), frozen([1]))
         cache.clear()
         assert len(cache) == 0
 
@@ -113,7 +172,8 @@ class TestWriteRacingFillInvariants:
         stale_key = cache.list_key("reviews", "ada", 1) + (0,)
         # ... the write acknowledges: version -> 1, entity invalidated
         cache.invalidate_entity("reviews")
-        cache.fill(stale_key, [{"id": 1, "score": "old"}])  # late fill
+        # the late fill
+        cache.fill(stale_key, frozen([{"id": 1, "score": "old"}]))
         fresh_key = cache.list_key("reviews", "ada", 1) + (1,)
         assert cache.lookup(fresh_key) is None  # forced re-read
         # the stale entry is only reachable through the retired version
@@ -124,7 +184,7 @@ class TestWriteRacingFillInvariants:
         # invalidates — the entry must be gone for every version
         cache = make_cache()
         stale_key = cache.list_key("reviews", "ada", 1) + (0,)
-        cache.fill(stale_key, [{"id": 1, "score": "old"}])
+        cache.fill(stale_key, frozen([{"id": 1, "score": "old"}]))
         cache.invalidate_entity("reviews")
         assert cache.lookup(stale_key) is None
         assert cache.lookup(
@@ -134,7 +194,7 @@ class TestWriteRacingFillInvariants:
     def test_interleaved_writes_to_other_entities_do_not_shield_stale(self):
         cache = make_cache()
         key = cache.view_key("reviews", 1, "ada", 1) + (0,)
-        cache.fill(key, {"id": 1, "score": "old"})
+        cache.fill(key, frozen({"id": 1, "score": "old"}))
         cache.invalidate_entity("papers")  # unrelated write
         assert cache.lookup(key) == {"id": 1, "score": "old"}
         cache.invalidate_entity("reviews")  # the related write
@@ -147,9 +207,9 @@ class TestWriteRacingFillInvariants:
         cleared = cache.view_key("reviews", 1, "chair", 2) + (0,)
         uncleared = cache.view_key("reviews", 1, "outsider", 0) + (0,)
         assert cache.lookup(uncleared) is None     # read arrives first
-        cache.fill(cleared, {"id": 1, "secret": "scores"})
+        cache.fill(cleared, frozen({"id": 1, "secret": "scores"}))
         assert cache.lookup(uncleared) is None     # and after the fill
-        cache.fill(uncleared, {"id": 1})           # the filtered body
+        cache.fill(uncleared, frozen({"id": 1}))   # the filtered body
         assert cache.lookup(uncleared) == {"id": 1}
         assert cache.lookup(cleared) == {"id": 1, "secret": "scores"}
 
@@ -159,7 +219,7 @@ class TestWriteRacingFillInvariants:
         cache = make_cache()
         cache.fill(
             cache.view_key("reviews", 1, "ada", 2) + (0,),
-            {"id": 1, "secret": "x"},
+            frozen({"id": 1, "secret": "x"}),
         )
         assert cache.lookup(
             cache.view_key("reviews", 1, "ada", 0) + (0,)
@@ -169,7 +229,9 @@ class TestWriteRacingFillInvariants:
 class TestLastGoodStore:
     def test_remember_and_lookup_with_version(self):
         store = LastGoodStore()
-        store.remember(("view", "reviews", 1, "ada", 1), {"id": 1}, 3)
+        store.remember(
+            ("view", "reviews", 1, "ada", 1), frozen({"id": 1}), 3
+        )
         assert store.lookup(("view", "reviews", 1, "ada", 1)) == (
             {"id": 1}, 3
         )
@@ -180,15 +242,15 @@ class TestLastGoodStore:
         # so a newer remember overwrites but nothing else removes it
         store = LastGoodStore()
         key = ("list", "reviews", None, "ada", 1)
-        store.remember(key, [{"id": 1}], 1)
-        store.remember(key, [{"id": 1}, {"id": 2}], 2)
+        store.remember(key, frozen([{"id": 1}]), 1)
+        store.remember(key, frozen([{"id": 1}, {"id": 2}]), 2)
         assert store.lookup(key) == ([{"id": 1}, {"id": 2}], 2)
 
     def test_bodies_are_caller_proof(self):
         store = LastGoodStore()
         key = ("view", "e", 1, "u", 0)
         body = {"id": 1, "score": 3}
-        store.remember(key, body, 1)
+        store.remember(key, frozen(body), 1)
         body["score"] = 99
         served, _ = store.lookup(key)
         assert served["score"] == 3
@@ -197,17 +259,17 @@ class TestLastGoodStore:
 
     def test_lru_eviction_beyond_capacity(self):
         store = LastGoodStore(capacity=2)
-        store.remember(("k", 1), {"id": 1}, 1)
-        store.remember(("k", 2), {"id": 2}, 1)
+        store.remember(("k", 1), frozen({"id": 1}), 1)
+        store.remember(("k", 2), frozen({"id": 2}), 1)
         store.lookup(("k", 1))  # refresh: ("k", 2) becomes LRU
-        store.remember(("k", 3), {"id": 3}, 1)
+        store.remember(("k", 3), frozen({"id": 3}), 1)
         assert store.lookup(("k", 2)) is None
         assert store.lookup(("k", 1)) is not None
         assert len(store) == 2
 
     def test_zero_capacity_disables_the_backstop(self):
         store = LastGoodStore(capacity=0)
-        store.remember(("k",), {"id": 1}, 1)
+        store.remember(("k",), frozen({"id": 1}), 1)
         assert store.lookup(("k",)) is None
 
     def test_negative_capacity_rejected(self):

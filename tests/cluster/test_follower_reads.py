@@ -136,8 +136,8 @@ def test_uncleared_list_on_followers_leaks_nothing():
                 primary = gateway.shards[index]
                 account = primary.users.get(user)
                 expected_ids.extend(
-                    stored.record_id
-                    for stored in primary.store.readable_by(
+                    row["id"]
+                    for row in primary.store.readable_by(
                         spec.entity, user, account.level
                     )
                 )

@@ -298,12 +298,10 @@ def test_field_and_clearance_indexes_match_oracles_after_chaos():
                     ]
                     assert via_index == via_scan, (field_name, value)
             for name, level, _roles in easychair.USERS:
-                via_index = [
-                    r.record_id
-                    for r in store.readable_snapshots(name, level)
-                ]
+                via_index = store.readable_rows(name, level)
                 via_scan = [
-                    r.record_id for r in store.select_snapshots(
+                    {"id": s.record_id, "version": s.version, **s.data}
+                    for s in store.select_snapshots(
                         lambda s: s.metadata.accessible_by(name, level)
                     )
                 ]

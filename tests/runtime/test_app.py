@@ -158,6 +158,18 @@ class TestHandlers:
         ]
         assert app.get("/reviews", user="guest").body == []
 
+    def test_list_route_keeps_a_declared_version_field(self):
+        app = WebApp("docs")
+        app.define_entity("doc", fields=["title", "version"])
+        app.register_form(Form("doc form", "doc", ["title", "version"]))
+        app.route("/docs", "POST", app.create_handler("doc form"))
+        app.route("/docs", "GET", app.list_handler("doc"))
+        app.add_user("u")
+        app.post("/docs", {"title": "a", "version": "v2"}, user="u")
+        assert app.get("/docs", user="u").body == [
+            {"id": 1, "title": "a", "version": "v2"},
+        ]
+
     def test_view_route(self, app):
         app.post("/reviews", GOOD, user="pc")
         assert app.get("/reviews/1", user="pc").status == 200

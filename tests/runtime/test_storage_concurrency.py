@@ -180,10 +180,18 @@ class TestReadPathIsolation:
     def test_readable_by_returns_copies(self):
         content = ContentStore(Clock())
         content.define("reviews")
-        content.store("reviews", {"x": 1}, "ada")
-        visible = content.readable_by("reviews", "ada", 0)
-        visible[0].data["x"] = 99
-        assert content.entity("reviews").get(1).data["x"] == 1
+        content.store("reviews", {"x": 1, "tags": [1]}, "ada")
+        content.store("reviews", {"x": 2}, "ada")
+        rows = content.readable_by("reviews", "ada", 0)
+        assert rows == [
+            {"id": 1, "version": 1, "x": 1, "tags": [1]},
+            {"id": 2, "version": 1, "x": 2},
+        ]
+        for row in rows:
+            row["x"] = 99
+        rows[0]["tags"].append(2)
+        assert content.entity("reviews").get(1).data == {"x": 1, "tags": [1]}
+        assert content.entity("reviews").get(2).data == {"x": 2}
 
     def test_write_path_still_returns_live_records(self):
         # metadata stamping relies on the write path handing out the live

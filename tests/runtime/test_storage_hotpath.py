@@ -6,10 +6,13 @@ is a correctness change instead of a performance change:
 * a default (COW) snapshot equals a ``deep=True`` snapshot after any
   sequence of inserts and updates;
 * ``find_by`` through a hash index equals the full-scan equality query,
-  and ``readable_snapshots`` through the clearance index equals the
-  per-record ``accessible_by`` predicate scan;
+  and the rows ``readable_rows`` builds through the clearance index equal
+  rows built from the per-record ``accessible_by`` predicate scan;
 * snapshot isolation survives concurrent writers — a reader never sees a
   torn record, and mutating a snapshot never reaches the store.
+
+And ``StoredRecord.shareable`` — the verdict every read trusts instead
+of walking values — always equals a fresh walk of the published data.
 
 Plus the :class:`IdAllocator` compaction contract: bounded memory with
 the duplicate-reservation guard still firing everywhere.
@@ -209,41 +212,114 @@ def test_find_by_with_unhashable_values_falls_back_to_scan():
     assert store.find_by("alpha", "x")[0].data["alpha"] == "x"
 
 
+def oracle_rows(store: EntityStore, user: str, user_level: int) -> list:
+    """The rows ``readable_rows`` must equal, in order, built from the
+    predicate-scan oracle."""
+    return [
+        {"id": s.record_id, "version": s.version, **s.data}
+        for s in store.select_snapshots(
+            lambda s: s.metadata.accessible_by(user, user_level)
+        )
+    ]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     grants=st.lists(
         st.tuples(st.integers(0, 3), st.sets(
             st.sampled_from(["ann", "bob", "cho", "dee"]), max_size=2
-        )),
+        ), mixed_payloads),
         min_size=1, max_size=10,
     ),
     user=st.sampled_from(["ann", "bob", "cho", "dee", "eve"]),
     user_level=st.integers(0, 3),
+    deep=st.booleans(),
 )
-def test_readable_snapshots_match_the_accessible_by_oracle(
-    grants, user, user_level
+def test_readable_rows_match_the_accessible_by_oracle(
+    grants, user, user_level, deep
 ):
     content = ContentStore(Clock())
     content.define("papers")
-    for position, (level, available) in enumerate(grants):
+    for level, available, payload in grants:
         content.store(
-            "papers", {"n": position}, "writer",
+            "papers", payload, "writer",
             security_level=level, available_to=available,
         )
     store = content.entity("papers")
-    indexed = store.readable_snapshots(user, user_level)
-    oracle = store.select_snapshots(
-        lambda s: s.metadata.accessible_by(user, user_level)
-    )
-    assert [r.record_id for r in indexed] == [r.record_id for r in oracle]
-    for left, right in zip(indexed, oracle):
-        assert snapshots_equal(left, right)
+    store.deep_snapshots = deep
+    rows = store.readable_rows(user, user_level)
+    oracle = oracle_rows(store, user, user_level)
+    assert [list(row.items()) for row in rows] == \
+        [list(row.items()) for row in oracle]
+    assert rows.shareable == all(_values_shareable(row) for row in oracle)
+    # the rows are the caller's: mutating them never reaches the store
+    for row in rows:
+        for value in row.values():
+            if isinstance(value, list):
+                value.append(-1)
+        row["n"] = "mutated"
+    assert oracle_rows(store, user, user_level) == oracle
     # restricting a record through the DQ surface keeps the index in sync
     target = store.all()[0].record_id
     content.restrict("papers", target, security_level=3, available_to={user})
-    assert target in {
-        r.record_id for r in store.readable_snapshots(user, 0)
-    }
+    assert target in {row["id"] for row in store.readable_rows(user, 0)}
+
+
+# Values an update can make a record unshareable with, and shareable
+# again with (a list replaced by a tuple).
+reclassified_payloads = st.dictionaries(
+    field_names,
+    st.one_of(
+        scalars,
+        st.lists(st.integers(0, 9), max_size=2),
+        st.tuples(st.integers(0, 9), scalars),
+        st.tuples(st.lists(st.integers(0, 9), max_size=1)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ops=st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["insert", "update", "restore_record", "restore_update"]
+        ),
+        st.integers(0, 20),
+        reclassified_payloads,
+    ),
+    min_size=1, max_size=14,
+))
+def test_shareable_equals_a_fresh_walk_after_any_write_history(ops):
+    store = EntityStore("records")
+    for kind, pick, payload in ops:
+        ids = [record.record_id for record in store.all()]
+        if kind == "insert" or not ids:
+            store.insert(payload)
+        elif kind == "restore_record":
+            store.restore_record(
+                store.high_water_id() + 1, payload, reserve=False
+            )
+        elif kind == "update":
+            store.update(ids[pick % len(ids)], payload)
+        else:
+            store.restore_update(ids[pick % len(ids)], payload)
+        for record in store.all():
+            stored = store._live(record.record_id)
+            assert stored.shareable == _values_shareable(stored.data)
+
+
+def test_shareability_recovers_once_the_mutable_value_is_replaced():
+    store = EntityStore("records")
+    record_id = store.insert({"alpha": [1], "beta": 2}).record_id
+    assert not store._live(record_id).shareable
+    store.update(record_id, {"alpha": (1,)})
+    assert store._live(record_id).shareable
+    store.restore_update(record_id, {"beta": [2]})
+    assert not store._live(record_id).shareable
+    store.restore_update(record_id, {"beta": "2"})
+    assert store._live(record_id).shareable
 
 
 def test_concurrent_writers_never_tear_reader_snapshots():
