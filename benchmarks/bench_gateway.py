@@ -87,9 +87,8 @@ def test_hotpath_floors_and_report():
     Copy-on-write snapshots must serve the seeded list/view mix at least
     3x as fast as the same gateway forced through the pre-COW deepcopy
     path; ``submit_many`` must beat the one-at-a-time submit loop by at
-    least 1.5x at 4 shards; indexed field lookups must beat the predicate
-    scan outright.  Each run is already best-of-3 rounds per path; one
-    retry absorbs a pathologically loaded machine.
+    least 1.5x at 4 shards.  Each run is already best-of-3 rounds per
+    path; one retry absorbs a pathologically loaded machine.
     """
     result = None
     for _ in range(2):
@@ -102,14 +101,12 @@ def test_hotpath_floors_and_report():
     speedups = result.values
     assert speedups["cow_read_vs_deepcopy"] >= 3.0, result.render()
     assert speedups["batched_vs_unbatched_writes"] >= 1.5, result.render()
-    assert speedups["indexed_vs_scan_lookups"] >= 1.0, result.render()
     report = result.as_dict()
     assert HOTPATH_JSON.exists()
     names = [row["name"] for row in report["rows"]]
     assert names == [
         "read deepcopy snapshots", "read cow snapshots",
         "write unbatched", "write batched",
-        "lookup scan", "lookup indexed",
     ]
     for row in report["rows"]:
         assert row["ops_per_second"] > 0

@@ -13,9 +13,9 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1 (numpy mode) =="
-python -m pytest -x -q "$@"
+python -m pytest -x "$@"
 
 echo "== tier-1 (forced stdlib fallback: REPRO_NO_NUMPY=1) =="
-REPRO_NO_NUMPY=1 python -m pytest -x -q "$@"
+REPRO_NO_NUMPY=1 python -m pytest -x "$@"
 
 echo "== tier-1 green in both kernel modes =="

@@ -145,8 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     for mode, help_text in (
         ("smoke", "the fast floor check (the comparison plus every bench "
                   "below but --hotpath, at tier-1 scale)"),
-        ("hotpath", "the hot-path microbenchmarks (copy-on-write reads, "
-                    "write batching, field indexes)"),
+        ("hotpath", "the hot-path microbenchmarks (copy-on-write reads "
+                    "and write batching)"),
         ("validate", "the compiled-validation bench (fused plans vs the "
                      "legacy interpreted chain, with the zero-diff "
                      "equivalence sweep)"),
@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "failover drill and a seeded topology storm)"),
         ("columnar", "the columnar-spine bench (store-resident DQ sweeps "
                      "down the column arrays with zone maps, telemetry "
-                     "column absorption and index scans vs their row "
+                     "column absorption and column scans vs their row "
                      "oracles)"),
     ):
         modes.add_argument(

@@ -226,7 +226,6 @@ FLOORS: dict = {
     "hotpath": (
         Floor("cow_read_vs_deepcopy", ">=", 3.0),
         Floor("batched_vs_unbatched_writes", ">=", 1.5),
-        Floor("indexed_vs_scan_lookups", ">=", 1.0),
     ),
     "validate": (
         Floor("fused_single_vs_legacy", ">=", 3.0),
@@ -611,7 +610,7 @@ def run_comparison(
 
 
 # ---------------------------------------------------------------------------
-# Hot-path micro-benchmarks (copy-on-write reads, write batching, indexes)
+# Hot-path micro-benchmarks (copy-on-write reads, write batching)
 # ---------------------------------------------------------------------------
 
 
@@ -637,11 +636,10 @@ def run_hotpath_bench(
     preload: int = 800,
     reads: int = 400,
     writes: int = 384,
-    lookups: int = 300,
     seed: int = 23,
     rounds: int = 3,
 ) -> BenchReport:
-    """Measure the three hot paths the copy-on-write overhaul rebuilt.
+    """Measure the two hot paths the copy-on-write overhaul rebuilt.
 
     1. **Reads** — the same seeded list/view plan is replayed against the
        same preloaded uncached gateway twice: once with every shard store
@@ -653,9 +651,6 @@ def run_hotpath_bench(
        gateway via ``submit_many`` (per-shard coalescing, chunks of
        ``write_batch_max``).  Batched per-op latencies are amortized over
        each ``submit_many`` call.
-    3. **Lookups** — one ``WebApp`` preloaded with scored reviews answers
-       ``lookups`` equality queries by predicate scan, then the same
-       queries again through a hash index on the scored field.
     """
     from repro.casestudy import easychair
 
@@ -728,39 +723,16 @@ def run_hotpath_bench(
         [unbatched_pass, batched_pass], rounds
     )
 
-    # -- 3. predicate scan vs hash-indexed field lookups -----------------
-    # point lookups on a unique field: the scan pays O(records) per query
-    # no matter the selectivity, the hash index pays O(matches)
-    app = easychair.build_app()
-    for index in range(preload):
-        review = easychair.complete_review()
-        review["email_address"] = f"reviewer{index}@example.org"
-        app.submit(spec.form, review, writer)
-    store = app.store.entity(spec.entity)
-    emails = [
-        f"reviewer{rng.randrange(preload)}@example.org"
-        for _ in range(lookups)
-    ]
-    scan_row = _best_of([lambda: _timed("lookup scan", [
-        (lambda e=e: store.query(lambda data: data.get("email_address") == e))
-        for e in emails
-    ])], rounds)[0]
-    store.create_index("email_address")
-    indexed_row = _best_of([lambda: _timed("lookup indexed", [
-        (lambda e=e: store.find_by("email_address", e)) for e in emails
-    ])], rounds)[0]
-
     return BenchReport(
         "hotpath",
         f"hot-path microbenchmarks — {shard_count} shard(s)",
         seed,
-        [deep_row, cow_row, unbatched_row, batched_row, scan_row, indexed_row],
+        [deep_row, cow_row, unbatched_row, batched_row],
         {
             "cow_read_vs_deepcopy": _speedup(cow_row, deep_row),
             "batched_vs_unbatched_writes": _speedup(
                 batched_row, unbatched_row
             ),
-            "indexed_vs_scan_lookups": _speedup(indexed_row, scan_row),
         },
         {"shard_count": shard_count},
     )
@@ -1297,9 +1269,9 @@ def run_columnar_bench(
     2. **Telemetry absorption** — the same chunks absorb through the
        column path (``absorb`` of per-column spine slices) and the row
        walk; both accumulators must report bit-equal stats.
-    3. **Column scans** — ``find_by`` (column equality scan, then
-       indexed) and ``readable_rows`` against their predicate-scan
-       oracles: identical results required.
+    3. **Column scans** — ``find_by`` (zone-map-pruned column equality
+       scan) and ``readable_rows`` against their predicate-scan oracles:
+       identical results required.
     """
     from repro.casestudy import easychair
     from repro.dq.metadata import Clock
@@ -1475,14 +1447,10 @@ def run_columnar_bench(
         rounds,
     )
 
-    # column scan first, then the same probes through a hash index
-    for indexed in (False, True):
-        if indexed:
-            store.create_index(lookup_field)
-        for score in probes:
-            equivalence_checks += 1
-            if found_ids(score) != scanned_ids(score):
-                equivalence_diffs += 1  # pragma: no cover - scan bug
+    for score in probes:
+        equivalence_checks += 1
+        if found_ids(score) != scanned_ids(score):
+            equivalence_diffs += 1  # pragma: no cover - scan bug
 
     content = ContentStore(Clock())
     content.define(spec.entity)
@@ -1569,8 +1537,9 @@ def run_durability_bench(
        (the backend abandons its handles), and a fresh app recovered
        from disk, best-of-``rounds``.  The oracle: the recovered capture
        must be byte-identical (records, metadata, versions, allocator
-       watermark, audit trail) and the rebuilt hash indexes must agree
-       with both the pre-crash index and the predicate-scan oracle.
+       watermark, audit trail) and ``find_by`` on the recovered store
+       must agree with both the pre-crash answers and the
+       predicate-scan oracle.
     3. **Kill-restart storm** — one seeded chaos run
        (:func:`run_chaos`) on the durable backend with ``kills`` kill
        faults layered over crashes, latency, drops and duplicates.
@@ -1707,7 +1676,7 @@ def run_durability_bench(
                 diffs += 1  # pragma: no cover - would be a recovery bug
             recovered_store = recovered_app.store.entity(entity)
             for score in sample_scores:
-                indexed = sorted(
+                found = sorted(
                     record.record_id
                     for record in recovered_store.find_by(
                         "overall_evaluation", score
@@ -1721,9 +1690,9 @@ def run_durability_bench(
                     )
                 )
                 checks += 2
-                if indexed != expected_ids[score]:
+                if found != expected_ids[score]:
                     diffs += 1  # pragma: no cover - recovery bug
-                if indexed != scanned:
+                if found != scanned:
                     diffs += 1  # pragma: no cover - recovery bug
             checks += 1
             if any(

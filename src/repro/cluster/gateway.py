@@ -106,27 +106,36 @@ DEFAULT_STALENESS_BOUND = 16
 
 @dataclass(frozen=True)
 class GatewayRoute:
-    """One exposed HTTP-facade route: kind + path pattern + target."""
+    """One exposed HTTP-facade route: kind + path pattern + target.
+
+    The pattern is split once, into ``(name, is_parameter)`` segments.
+    """
 
     kind: str  # "create" | "update" | "list" | "view"
     method: str
     path: str
     target: str  # form name (create/update) or entity name (list/view)
 
+    def __post_init__(self):
+        object.__setattr__(self, "_segments", tuple(
+            (s[1:-1], True) if s.startswith("<") and s.endswith(">")
+            else (s, False)
+            for s in self.path.split("/") if s
+        ))
+
     @property
     def parameterized(self) -> bool:
         return "<" in self.path
 
     def match(self, path: str) -> Optional[dict]:
-        pattern = [s for s in self.path.split("/") if s]
         segments = [s for s in path.split("/") if s]
-        if len(pattern) != len(segments):
+        if len(self._segments) != len(segments):
             return None
         params: dict = {}
-        for expected, actual in zip(pattern, segments):
-            if expected.startswith("<") and expected.endswith(">"):
-                params[expected[1:-1]] = actual
-            elif expected != actual:
+        for (name, parameter), actual in zip(self._segments, segments):
+            if parameter:
+                params[name] = actual
+            elif name != actual:
                 return None
         return params
 
@@ -229,8 +238,11 @@ class ShardedGateway:
             self._breakers: Optional[list[CircuitBreaker]] = [
                 self._new_breaker(index) for index in range(len(self.shards))
             ]
+            # Only injected faults retry or duplicate a keyed call, so a
+            # fleet without a fault plan keeps no replay registry.
             self._idempotency: Optional[IdempotencyRegistry] = (
                 IdempotencyRegistry(resilience.idempotency_capacity)
+                if self.fault_injector is not None else None
             )
             self._last_good: Optional[LastGoodStore] = LastGoodStore(
                 resilience.last_good_capacity
@@ -325,7 +337,7 @@ class ShardedGateway:
         if replicas:
             # followers are structurally identical apps with no durable
             # backend of their own — they replay the primary's log, so
-            # confidentiality buckets, indexes and telemetry are rebuilt
+            # confidentiality buckets, columns and telemetry are rebuilt
             # by the same restore paths crash recovery uses
             follower_cache = PlanCache()
             gateway._follower_factory = lambda: make_app(cache=follower_cache)
@@ -354,21 +366,24 @@ class ShardedGateway:
         replica_set.seed_from(primary)
         return replica_set
 
-    def expose_create(self, path: str, form_name: str) -> "ShardedGateway":
-        self._routes.append(GatewayRoute("create", "POST", path, form_name))
+    def _expose(self, route: GatewayRoute) -> "ShardedGateway":
+        # exact paths first, so "/…/list" wins over "/…/<id>"; the sort
+        # is stable, so exposure order holds otherwise
+        self._routes.append(route)
+        self._routes.sort(key=lambda r: r.parameterized)
         return self
+
+    def expose_create(self, path: str, form_name: str) -> "ShardedGateway":
+        return self._expose(GatewayRoute("create", "POST", path, form_name))
 
     def expose_update(self, path: str, form_name: str) -> "ShardedGateway":
-        self._routes.append(GatewayRoute("update", "PUT", path, form_name))
-        return self
+        return self._expose(GatewayRoute("update", "PUT", path, form_name))
 
     def expose_list(self, path: str, entity: str) -> "ShardedGateway":
-        self._routes.append(GatewayRoute("list", "GET", path, entity))
-        return self
+        return self._expose(GatewayRoute("list", "GET", path, entity))
 
     def expose_view(self, path: str, entity: str) -> "ShardedGateway":
-        self._routes.append(GatewayRoute("view", "GET", path, entity))
-        return self
+        return self._expose(GatewayRoute("view", "GET", path, entity))
 
     @property
     def routes(self) -> list[GatewayRoute]:
@@ -1523,8 +1538,7 @@ class ShardedGateway:
     def handle(self, request: Request) -> Response:
         """Dispatch one simulated HTTP request through the facade routes."""
         path_matched = False
-        exact_first = sorted(self._routes, key=lambda r: r.parameterized)
-        for route in exact_first:
+        for route in self._routes:
             params = route.match(request.path)
             if params is None:
                 continue

@@ -579,6 +579,9 @@ class ResilienceConfig:
     metrics, never slept) — pass ``time.sleep`` for real pacing.  Breaker
     ``cooldown`` is measured on the injector's call-counter clock when a
     fault plan is installed, otherwise in wall-clock seconds.
+    ``idempotency_capacity`` sizes the replay registry, which a gateway
+    builds only under a fault plan: without injected faults no keyed
+    call is retried or duplicated.
     """
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)

@@ -37,7 +37,7 @@ Completeness suggestion differently after deletes).
 
 Lock discipline: accumulators are owned by
 :class:`~repro.runtime.storage.EntityStore` and mutated only under the
-existing per-entity re-entrant lock, exactly like the field indexes.
+existing per-entity re-entrant lock, like the confidentiality index.
 Reads either copy under the lock (``telemetry_snapshot``) or compute
 under it (``measure_telemetry``); cross-shard merges combine per-shard
 snapshots, so a merged view is per-shard consistent (the same contract
@@ -86,7 +86,6 @@ _HASH_MEMO_LIMIT = 4096
 
 _HASH_SPACE = float(2 ** 64)
 
-#: Per-pattern index tuples for every observed mask, precomputed once.
 _PATTERN_COUNT = len(KNOWN_PATTERNS)
 _COMPILED_PATTERNS = tuple(
     compiled_pattern(pattern) for _, pattern in KNOWN_PATTERNS
@@ -226,6 +225,13 @@ class KMVSketch:
 
 
 _PATTERN_ENUMERATED = tuple(enumerate(_COMPILED_PATTERNS))
+#: Every pattern-index tuple a mask can be, by bitset, built once: the
+#: string table's ``(count, mask)`` entries then hold only untracked
+#: objects, so the collector untracks each entry on its first pass.
+_MASKS = tuple(
+    tuple(index for index in range(_PATTERN_COUNT) if bits >> index & 1)
+    for bits in range(1 << _PATTERN_COUNT)
+)
 
 
 def _pattern_mask(value: str) -> tuple[int, ...]:
@@ -237,11 +243,11 @@ def _pattern_mask(value: str) -> tuple[int, ...]:
     """
     if " " in value:
         return ()
-    mask = []
+    bits = 0
     for index, compiled in _PATTERN_ENUMERATED:
         if compiled.fullmatch(value):
-            mask.append(index)
-    return tuple(mask)
+            bits |= 1 << index
+    return _MASKS[bits]
 
 
 class FieldAccumulator:
@@ -288,11 +294,12 @@ class FieldAccumulator:
         self._num_sumsq = 0.0
         self._num_min: Optional[float] = None
         self._num_max: Optional[float] = None
-        # strings: value→[count, pattern-index-tuple] memo doubles as
+        # strings: value→(count, pattern-index-tuple) memo doubles as
         # the distinct-string table and keeps repeat strings off the
-        # regex path; the tallies are running counters.
+        # regex path; the tallies are running counters.  Entries are
+        # immutable, so the collector stops tracking them.
         self._string_count = 0
-        self._strings: Optional[dict[str, list]] = {}
+        self._strings: Optional[dict[str, tuple]] = {}
         self._pattern_counts = [0] * _PATTERN_COUNT
         # post-spill str → (hash64-of-repr, pattern mask) cache; only
         # exact-``str`` paths consult it (a str subclass may repr
@@ -316,11 +323,11 @@ class FieldAccumulator:
             if strings is not None:
                 entry = strings.get(value)
                 if entry is not None:
-                    entry[0] += 1
                     mask = entry[1]
+                    strings[value] = (entry[0] + 1, mask)
                 else:
                     mask = _pattern_mask(value)
-                    strings[value] = [1, mask]
+                    strings[value] = (1, mask)
                     if (
                         len(strings) + len(self._other_counts)
                         > self.spill_threshold
@@ -386,15 +393,15 @@ class FieldAccumulator:
                 entry = strings.get(value)
                 if entry is None:
                     mask = _pattern_mask(value)
-                    strings[value] = [1, mask]
+                    strings[value] = (1, mask)
                     if (
                         len(strings) + len(self._other_counts)
                         > self.spill_threshold
                     ):
                         self._spill()
                 else:
-                    entry[0] += 1
                     mask = entry[1]
+                    strings[value] = (entry[0] + 1, mask)
             if mask:
                 tallies = self._pattern_counts
                 for index in mask:
@@ -503,11 +510,11 @@ class FieldAccumulator:
                     continue
                 entry = strings.get(value)
                 if entry is not None:
-                    entry[0] += count
                     mask = entry[1]
+                    strings[value] = (entry[0] + count, mask)
                 else:
                     mask = _pattern_mask(value)
-                    strings[value] = [count, mask]
+                    strings[value] = (count, mask)
                 if mask:
                     for index in mask:
                         tallies[index] += count
@@ -563,11 +570,11 @@ class FieldAccumulator:
             if strings is not None:
                 entry = strings.get(value)
                 if entry is not None:
-                    entry[0] += 1
                     mask = entry[1]
+                    strings[value] = (entry[0] + 1, mask)
                 else:
                     mask = _pattern_mask(value)
-                    strings[value] = [1, mask]
+                    strings[value] = (1, mask)
                     if len(strings) + other_len > threshold:
                         self._spill()
                         strings = None
@@ -783,9 +790,10 @@ class FieldAccumulator:
             if entry is None:  # pragma: no cover - unseen removal
                 mask = _pattern_mask(value)
             else:
-                entry[0] -= 1
-                mask = entry[1]
-                if entry[0] <= 0:
+                count, mask = entry
+                if count > 1:
+                    strings[value] = (count - 1, mask)
+                else:
                     del strings[value]
         if mask:
             tallies = self._pattern_counts
@@ -976,10 +984,9 @@ class FieldAccumulator:
             )
         for value, (count, mask) in other._strings.items():
             entry = self._strings.get(value)
-            if entry is None:
-                self._strings[value] = [count, mask]
-            else:
-                entry[0] += count
+            self._strings[value] = (
+                (count, mask) if entry is None else (entry[0] + count, mask)
+            )
         if (
             len(self._strings) + len(self._other_counts)
             > self.spill_threshold
@@ -1001,8 +1008,7 @@ class FieldAccumulator:
         clone._num_max = self._num_max
         clone._string_count = self._string_count
         clone._strings = (
-            {value: list(entry) for value, entry in self._strings.items()}
-            if self._strings is not None else None
+            dict(self._strings) if self._strings is not None else None
         )
         clone._pattern_counts = list(self._pattern_counts)
         clone._hash_memo = dict(self._hash_memo)

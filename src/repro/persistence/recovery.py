@@ -11,7 +11,7 @@ Recovery is a strict two-phase replay over what the backend brings back
    reserved-but-unused ids and disarm the duplicate-replay guard.
 2. **WAL tail** — ops with a sequence number past the snapshot's
    ``last_seq`` replay in durable order through the stores' ``restore_*``
-   paths, which feed the field indexes, confidentiality buckets, and
+   paths, which feed the columnar spine, confidentiality buckets and
    streaming-telemetry queue exactly like live writes but skip backend
    logging (the ops are already durable).
 

@@ -43,7 +43,7 @@ from .http import (
 )
 from .routing import Handler, Router
 from .security import PolicyBook, UserDirectory
-from .storage import ContentStore, Rows, StoredRecord
+from .storage import ContentStore, Rows, StoredRecord, reject_envelope_fields
 from .vpipeline import PlanCache, ValidationStats
 
 
@@ -110,11 +110,8 @@ class WebApp:
         name: str,
         fields: Sequence[str],
         required_fields: Sequence[str] = (),
-        indexed_fields: Sequence[str] = (),
     ) -> "WebApp":
-        store = self.store.define(name, fields)
-        for field_name in indexed_fields:
-            store.create_index(field_name)
+        self.store.define(name, fields)
         self._required_fields[name] = tuple(required_fields)
         return self
 
@@ -141,6 +138,7 @@ class WebApp:
             raise ValueError(
                 f"form {form.name!r} targets unknown entity {form.entity!r}"
             )
+        reject_envelope_fields(f"form {form.name!r}", form.fields)
         form.use_plan_cache(self.plan_cache)
         form.set_metadata_attributes(
             self._metadata_captures.get(form.entity, ())
@@ -486,11 +484,8 @@ class WebApp:
     def list_handler(self, entity: str) -> Handler:
         def handle(request: Request) -> Response:
             rows = self.read(entity, request.user)
-            # the body is ``{"id", **data}``: drop the row's record
-            # version unless a declared field of that name shadows it
-            if "version" not in self.store.entity(entity).fields:
-                for row in rows:
-                    del row["version"]
+            for row in rows:  # the body is ``{"id", **data}``
+                del row["version"]
             return ok(list(rows))
 
         return handle

@@ -110,9 +110,6 @@ def build_app(
             entity.name,
             fields=list(entity.fields),
             required_fields=list(entity.required_fields),
-            # hash indexes on every declared field: route lookups and
-            # equality queries stay O(matches) instead of O(records)
-            indexed_fields=list(entity.fields),
         )
     for policy in design_model.policies:
         app.set_policy(

@@ -67,6 +67,18 @@ def _values_shareable(data: dict) -> bool:
     return all(_value_shareable(value) for value in data.values())
 
 
+def reject_envelope_fields(owner: str, fields: Iterable[str]) -> None:
+    """Every response body is ``{"id", "version", **data}``: raise
+    ``ValueError`` naming the first declared field that would shadow
+    the record envelope."""
+    for name in fields:
+        if name in ("id", "version"):
+            raise ValueError(
+                f"{owner}: field {name!r} is reserved for the record "
+                "envelope"
+            )
+
+
 class Rows(list):
     """The ``{"id", "version", **data}`` rows of one confidentiality-
     filtered read, each a fresh dict the caller owns, plus storage's
@@ -403,17 +415,23 @@ class _ConfidentialityIndex:
     readable by ``(user, level)`` when ``level >= security_level`` *or*
     the user holds an explicit grant.  Maintained under the entity lock by
     the write path; ``readable_ids`` unions a handful of sets instead of
-    calling a Python predicate per record.
+    calling a Python predicate per record.  Records with the same
+    ``(level, grants)`` share one interned state tuple, so a record costs
+    the collector nothing here.
     """
 
     #: readable-id cache entries kept before a wholesale clear — reads
     #: come from a handful of distinct principals, so this is generous.
     _CACHE_LIMIT = 128
+    #: interned ``(level, grants)`` states kept before a wholesale clear
+    #: (records keep theirs; later records intern afresh).
+    _STATE_LIMIT = 1024
 
     def __init__(self):
         self._by_level: dict[int, set[int]] = {}
         self._by_grant: dict[str, set[int]] = {}
         self._state: dict[int, tuple[int, frozenset]] = {}
+        self._shared: dict[tuple[int, frozenset], tuple[int, frozenset]] = {}
         # Readable-id sets are memoized per ``(user, level)`` and
         # invalidated wholesale by bumping the generation on any index
         # change: stores mutate in bursts and are then read repeatedly
@@ -423,13 +441,20 @@ class _ConfidentialityIndex:
         self._readable_cache: dict[tuple[str, int], tuple[int, frozenset]] = {}
 
     def index(self, record_id: int, metadata: DQMetadataRecord) -> None:
+        key = (metadata.security_level, frozenset(metadata.available_to))
+        state = self._shared.get(key)
+        if state is None:
+            if len(self._shared) >= self._STATE_LIMIT:
+                self._shared.clear()
+            state = self._shared[key] = key
+        elif self._state.get(record_id) is state:
+            return
         self.unindex(record_id)
-        level = metadata.security_level
-        grants = frozenset(metadata.available_to)
+        level, grants = state
         self._by_level.setdefault(level, set()).add(record_id)
         for user in grants:
             self._by_grant.setdefault(user, set()).add(record_id)
-        self._state[record_id] = (level, grants)
+        self._state[record_id] = state
         self._generation += 1
 
     def unindex(self, record_id: int) -> None:
@@ -497,7 +522,6 @@ class EntityStore:
         self._backend = (
             backend if backend is not None and backend.durable else None
         )
-        self._field_indexes: dict[str, dict[object, set[int]]] = {}
         self._confidentiality = _ConfidentialityIndex()
         # Columnar spine: one append-only value array per layout field,
         # a parallel row-id array (``None`` marks a tombstone) and a
@@ -546,11 +570,11 @@ class EntityStore:
         self._kernel_promotions = 0
         self._kernel_demotions = 0
         # Streaming DQ telemetry: maintained under the entity lock next
-        # to the field indexes, default-on.  ``None`` while disabled (or
-        # pending a rebuild after re-enabling).  Writes only enqueue
-        # compact op tuples on ``_telemetry_pending``; the accumulator
-        # absorbs the queue on the next telemetry read, so the write
-        # path never pays the per-value accounting.
+        # to the confidentiality index, default-on.  ``None`` while
+        # disabled (or pending a rebuild after re-enabling).  Writes only
+        # enqueue compact op tuples on ``_telemetry_pending``; the
+        # accumulator absorbs the queue on the next telemetry read, so
+        # the write path never pays the per-value accounting.
         self._telemetry_enabled = True
         self._telemetry: Optional[EntityAccumulator] = EntityAccumulator(name)
         self._telemetry_pending: list[tuple] = []
@@ -624,59 +648,7 @@ class EntityStore:
                 return None
             return fn(accumulator)
 
-    # -- secondary indexes -------------------------------------------------
-
-    def create_index(self, field_name: str) -> "EntityStore":
-        """Declare a hash index on one data field.
-
-        Maintained transactionally under the entity lock by every write;
-        existing records are indexed immediately.  Unhashable field
-        values simply stay out of the index (``find_by`` then falls back
-        to the scan for them).
-        """
-        with self._lock:
-            if field_name in self._field_indexes:
-                return self
-            index: dict[object, set[int]] = {}
-            self._field_indexes[field_name] = index
-            for record_id, stored in self._records.items():
-                self._index_field_value(field_name, stored, record_id)
-            return self
-
-    @property
-    def indexed_fields(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(self._field_indexes)
-
-    def _index_field_value(
-        self, field_name: str, stored: StoredRecord, record_id: int
-    ) -> None:
-        try:
-            value = stored.data.get(field_name)
-            self._field_indexes[field_name].setdefault(
-                value, set()
-            ).add(record_id)
-        except TypeError:  # unhashable value: stays scannable only
-            pass
-
-    def _index_record(self, stored: StoredRecord) -> None:
-        for field_name in self._field_indexes:
-            self._index_field_value(field_name, stored, stored.record_id)
-        self._confidentiality.index(stored.record_id, stored.metadata)
-
-    def _unindex_field_values(
-        self, record_id: int, stored: StoredRecord
-    ) -> None:
-        for field_name, index in self._field_indexes.items():
-            value = stored.data.get(field_name)
-            try:
-                bucket = index.get(value)
-            except TypeError:  # was never indexed
-                continue
-            if bucket is not None:
-                bucket.discard(record_id)
-                if not bucket:
-                    del index[value]
+    # -- confidentiality index ---------------------------------------------
 
     def reindex_metadata(self, record_id: int, log: bool = True) -> None:
         """Refresh the confidentiality index after metadata changed.
@@ -684,18 +656,20 @@ class EntityStore:
         Confidentiality metadata is stamped *after* the insert (the write
         path hands the live record to ``restrict``), so
         :meth:`ContentStore.store` calls this once the sidecar is final.
-        ``log=False`` skips the per-record WAL op — for batch callers
-        whose combined :meth:`log_rows` op already carries the final
-        metadata.
+        ``log=False`` skips the per-record WAL and telemetry ops — for
+        batch callers whose combined :meth:`log_rows` and
+        :meth:`observe_inserted` ops already carry the final metadata.
         """
         with self._lock:
             stored = self._live(record_id)
             self._confidentiality.index(record_id, stored.metadata)
+            if not log:
+                return
             if self._telemetry is not None:
                 self._telemetry_pending.append(
                     ("meta", record_id, stored.metadata)
                 )
-            if log and self._backend is not None:
+            if self._backend is not None:
                 self._backend.append({
                     "op": "meta",
                     "entity": self.name,
@@ -1014,7 +988,7 @@ class EntityStore:
                 self._ids.reserve(record_id)
             stored = StoredRecord(record_id, dict(data))
             self._records[record_id] = stored
-            self._index_record(stored)
+            self._confidentiality.index(record_id, stored.metadata)
             self._col_add(stored)
             if self._telemetry is not None:
                 self._telemetry_pending.append(
@@ -1066,7 +1040,7 @@ class EntityStore:
                     self._ids.reserve(record_id)
                 stored = StoredRecord(record_id, dict(data))
                 self._records[record_id] = stored
-                self._index_record(stored)
+                self._confidentiality.index(record_id, stored.metadata)
                 stored_list.append(stored)
                 pins.append(pinned)
             if stored_list:
@@ -1224,16 +1198,12 @@ class EntityStore:
         """
         with self._lock:
             stored = self._live(record_id)
-            if self._field_indexes:
-                self._unindex_field_values(record_id, stored)
             old_data = stored.data
             stored.data = {**old_data, **data}
             stored.shareable = _values_shareable(
                 data if stored.shareable else stored.data
             )
             stored.version += 1
-            for field_name in self._field_indexes:
-                self._index_field_value(field_name, stored, record_id)
             self._col_update(record_id, stored, data)
             if self._telemetry is not None:
                 self._telemetry_pending.append(
@@ -1253,7 +1223,6 @@ class EntityStore:
         with self._lock:
             stored = self._live(record_id)
             del self._records[record_id]
-            self._unindex_field_values(record_id, stored)
             self._confidentiality.unindex(record_id)
             self._col_remove(record_id)
             if self._telemetry is not None:
@@ -1288,7 +1257,7 @@ class EntityStore:
     ) -> StoredRecord:
         """Re-materialize a record from durable state.
 
-        Field indexes, the confidentiality index, and the telemetry
+        The confidentiality index, the columnar spine and the telemetry
         queue are all fed exactly as a live insert would — only the
         backend logging is skipped (the op is already durable).
 
@@ -1312,7 +1281,7 @@ class EntityStore:
             if metadata_state is not None:
                 stored.metadata = DQMetadataRecord.from_state(metadata_state)
             self._records[record_id] = stored
-            self._index_record(stored)
+            self._confidentiality.index(record_id, stored.metadata)
             self._col_add(stored)
             if self._telemetry is not None:
                 self._telemetry_pending.append(
@@ -1326,8 +1295,6 @@ class EntityStore:
         """Replay a durable update op (same publish-fresh-dict path)."""
         with self._lock:
             stored = self._live(record_id)
-            if self._field_indexes:
-                self._unindex_field_values(record_id, stored)
             old_data = stored.data
             stored.data = {**old_data, **data}
             stored.shareable = _values_shareable(
@@ -1336,8 +1303,6 @@ class EntityStore:
             stored.version = (
                 version if version is not None else stored.version + 1
             )
-            for field_name in self._field_indexes:
-                self._index_field_value(field_name, stored, record_id)
             self._col_update(record_id, stored, data)
             if self._telemetry is not None:
                 self._telemetry_pending.append(
@@ -1364,7 +1329,6 @@ class EntityStore:
         with self._lock:
             stored = self._live(record_id)
             del self._records[record_id]
-            self._unindex_field_values(record_id, stored)
             self._confidentiality.unindex(record_id)
             self._col_remove(record_id)
             if self._telemetry is not None:
@@ -1429,94 +1393,66 @@ class EntityStore:
     def find_by(
         self, field_name: str, value, deep: bool = False
     ) -> list[StoredRecord]:
-        """Records whose ``field_name`` equals ``value`` — O(1) when the
-        field is indexed (``create_index``), a column scan otherwise.
-        Results come back in insertion order either way, exactly like
-        :meth:`query` with an equality predicate."""
-        deep = deep or self.deep_snapshots
-        with self._lock:
-            index = self._field_indexes.get(field_name)
-            if index is None:
-                return self._scan_by(field_name, value, deep)
-            try:
-                matches = index.get(value)
-            except TypeError:
-                # unhashable lookup value: such values never enter the
-                # index, so only the scan can answer equality for them
-                return self._scan_by(field_name, value, deep)
-            if not matches:
-                return []
-            records = self._records
-            if len(matches) == len(records):
-                return [s.snapshot(deep) for s in records.values()]
-            if not self._irregular and len(matches) * 4 <= len(records):
-                # Slot order is insertion order, so sorting the matched
-                # ids by slot skips the full-store walk entirely.
-                ordered = sorted(matches, key=self._slots.__getitem__)
-                return [records[rid].snapshot(deep) for rid in ordered]
-            return [
-                s.snapshot(deep)
-                for record_id, s in records.items()
-                if record_id in matches
-            ]
+        """Records whose ``field_name`` equals ``value``, in insertion
+        order, exactly like :meth:`query` with an equality predicate.
 
-    def _scan_by(self, field_name: str, value, deep: bool) -> list[StoredRecord]:
-        """Equality scan, answered down the field's column when every
-        record is on-layout (entity lock held).
-
-        ``list.index`` compares identity before equality (so NaN finds
-        itself), making the candidate set a superset of the dict scan's
-        ``==`` matches — each hit is re-checked with a real ``==`` so
-        both paths stay exactly equivalent.  Only the matching rows are
+        Answered down the field's column while every record is
+        on-layout, by a row scan otherwise.  ``list.index`` compares
+        identity before equality (so NaN finds itself), making the
+        column's candidate set a superset of the row scan's ``==``
+        matches — each hit is re-checked with a real ``==`` so both
+        paths stay exactly equivalent.  Only the matching rows are
         materialized as snapshots.
         """
-        records = self._records
-        column = self._cols.get(field_name)
-        if column is not None and not self._irregular:
-            self._sync_kernels()
-            ids = self._col_ids
-            stat = self._col_stats.get(field_name)
-            if (
-                stat is not None
-                and type(value) in _NUMERIC_PROBE_KINDS
-                and stat.kinds <= _NUMERIC_ZONE_KINDS
-                and not (
-                    stat.zmin is not None
-                    and stat.zmin <= value <= stat.zmax
-                )
-            ):
-                # Zone-map prune: every value ever admitted was numeric
-                # and the probe falls outside the envelope (or is NaN),
-                # so no live cell can ``==`` it — answer without
-                # touching a single cell.
-                return []
-            typed = self._typed.get(field_name)
-            if typed is not None:
-                slots = equal_slots(typed, value)
-                if slots is not None:
-                    return [
-                        records[rid].snapshot(deep)
-                        for slot in slots
-                        if (rid := ids[slot]) is not None
-                    ]
-            matched: list[int] = []
-            search = column.index
-            position = 0
-            try:
-                while True:
-                    position = search(value, position)
-                    rid = ids[position]
-                    if rid is not None and column[position] == value:
-                        matched.append(rid)
-                    position += 1
-            except ValueError:
-                pass
-            return [records[rid].snapshot(deep) for rid in matched]
-        return [
-            s.snapshot(deep)
-            for s in records.values()
-            if s.data.get(field_name) == value
-        ]
+        deep = deep or self.deep_snapshots
+        with self._lock:
+            records = self._records
+            column = self._cols.get(field_name)
+            if column is not None and not self._irregular:
+                self._sync_kernels()
+                ids = self._col_ids
+                stat = self._col_stats.get(field_name)
+                if (
+                    stat is not None
+                    and type(value) in _NUMERIC_PROBE_KINDS
+                    and stat.kinds <= _NUMERIC_ZONE_KINDS
+                    and not (
+                        stat.zmin is not None
+                        and stat.zmin <= value <= stat.zmax
+                    )
+                ):
+                    # Zone-map prune: every value ever admitted was
+                    # numeric and the probe falls outside the envelope
+                    # (or is NaN), so no live cell can ``==`` it —
+                    # answer without touching a single cell.
+                    return []
+                typed = self._typed.get(field_name)
+                if typed is not None:
+                    slots = equal_slots(typed, value)
+                    if slots is not None:
+                        return [
+                            records[rid].snapshot(deep)
+                            for slot in slots
+                            if (rid := ids[slot]) is not None
+                        ]
+                matched: list[int] = []
+                search = column.index
+                position = 0
+                try:
+                    while True:
+                        position = search(value, position)
+                        rid = ids[position]
+                        if rid is not None and column[position] == value:
+                            matched.append(rid)
+                        position += 1
+                except ValueError:
+                    pass
+                return [records[rid].snapshot(deep) for rid in matched]
+            return [
+                s.snapshot(deep)
+                for s in records.values()
+                if s.data.get(field_name) == value
+            ]
 
     def select_snapshots(
         self, predicate: Callable[[StoredRecord], bool], deep: bool = False
@@ -1600,6 +1536,7 @@ class ContentStore:
         self._backend = backend
 
     def define(self, name: str, fields: Sequence[str] = ()) -> EntityStore:
+        reject_envelope_fields(f"entity {name!r}", fields)
         with self._lock:
             if name in self._entities:
                 raise ValueError(f"entity {name!r} already defined")

@@ -70,8 +70,8 @@ def test_every_floor_is_a_ge_or_le_bound():
     ("comparison", "faulted_retention", None, True, 0.5),
     ("hotpath", "cow_read_vs_deepcopy", None, False, 3.0),
     ("hotpath", "batched_vs_unbatched_writes", None, False, 1.5),
-    ("hotpath", "indexed_vs_scan_lookups", None, False, 1.0),
     ("validate", "fused_single_vs_legacy", None, False, 3.0),
+    ("validate", "fused_single_vs_legacy", None, True, 3.0),
     ("validate", "fused_batch_vs_legacy", None, False, 5.0),
     ("validate", "equivalence_diffs", None, False, 0),
     ("validate", "plan_cache_hits", None, False, 1),
@@ -117,7 +117,7 @@ def test_effective_bounds(bench, metric, details, smoke, bound):
 
 def test_the_table_has_exactly_the_documented_floors():
     assert {b: len(floors) for b, floors in FLOORS.items()} == {
-        "comparison": 2, "hotpath": 3, "validate": 4, "dqtelemetry": 3,
+        "comparison": 2, "hotpath": 2, "validate": 4, "dqtelemetry": 3,
         "columnar": 5, "durability": 5, "replication": 6,
     }
 

@@ -379,6 +379,26 @@ class TestHttpFacade:
         # "/…/list" must route to the list, not parse "list" as an id
         assert gateway.get(LIST_PATH, user="chair").status == 200
 
+    def test_exact_routes_match_first_whatever_the_exposure_order(self):
+        gw = ShardedGateway([_single_app()])
+        gw.expose_view("/reviews/<id>", ENTITY)
+        gw.expose_create("/reviews", FORM)
+        gw.expose_list("/reviews/list", ENTITY)
+        try:
+            assert [route.kind for route in gw.routes] == [
+                "create", "list", "view",
+            ]
+            record_id = gw.post(
+                "/reviews", easychair.complete_review(), user="pc_member_1"
+            ).body["id"]
+            listed = gw.get("/reviews/list", user="chair")
+            assert listed.status == 200
+            assert [row["id"] for row in listed.body] == [record_id]
+            viewed = gw.get(f"/reviews/{record_id}", user="chair")
+            assert viewed.status == 200 and viewed.body["id"] == record_id
+        finally:
+            gw.close()
+
 
 def _single_app():
     app = build_app(easychair.build_design())

@@ -254,13 +254,13 @@ def test_memoized_clearance_serves_the_cache_key():
         gateway.close()
 
 
-# -- indexes stay consistent with the full-scan oracle under chaos ---------
+# -- lookups stay consistent with the full-scan oracle under chaos ---------
 
 
 @pytest.mark.chaos
-def test_field_and_clearance_indexes_match_oracles_after_chaos():
-    """After a faulted mixed workload, every shard's hash indexes answer
-    exactly like the index-free scans they replaced."""
+def test_find_by_and_clearance_index_match_oracles_after_chaos():
+    """After a faulted mixed workload, every shard's ``find_by`` and
+    clearance index answer exactly like the predicate scans."""
     from repro.cluster.loadgen import CHAOS_MIX
 
     seed = 11
@@ -282,13 +282,13 @@ def test_field_and_clearance_indexes_match_oracles_after_chaos():
         generator.run(gateway, count=300, threads=1)
         for shard in gateway.shards:
             store = shard.store.entity(ENTITY)
-            assert store.indexed_fields  # dqengine declared them
-            for field_name in store.indexed_fields:
+            assert store.fields  # dqengine declared them
+            for field_name in store.fields:
                 values = {
                     record.data.get(field_name) for record in store.all()
                 }
                 for value in values:
-                    via_index = [
+                    found = [
                         r.record_id for r in store.find_by(field_name, value)
                     ]
                     via_scan = [
@@ -296,7 +296,7 @@ def test_field_and_clearance_indexes_match_oracles_after_chaos():
                             lambda data: data.get(field_name) == value
                         )
                     ]
-                    assert via_index == via_scan, (field_name, value)
+                    assert found == via_scan, (field_name, value)
             for name, level, _roles in easychair.USERS:
                 via_index = store.readable_rows(name, level)
                 via_scan = [

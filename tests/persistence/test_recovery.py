@@ -108,8 +108,8 @@ def test_recovery_rebuilds_indexes_and_allocator(durable_backend, spec):
             r.record_id for r in recovered_store.find_by(field, value)
         )
         assert got == want
-        # the index must agree with a full predicate scan, or recovery
-        # rebuilt a stale index
+        # the column scan must agree with a full predicate scan, or
+        # recovery rebuilt a stale spine
         scan = sorted(
             r.record_id
             for r in recovered_store.all()

@@ -158,17 +158,18 @@ class TestHandlers:
         ]
         assert app.get("/reviews", user="guest").body == []
 
-    def test_list_route_keeps_a_declared_version_field(self):
+    def test_declared_envelope_field_names_are_rejected(self):
+        # a body is {"id", "version", **data}: such a field would shadow
+        # the record's id or version in every listing and view
         app = WebApp("docs")
-        app.define_entity("doc", fields=["title", "version"])
-        app.register_form(Form("doc form", "doc", ["title", "version"]))
-        app.route("/docs", "POST", app.create_handler("doc form"))
-        app.route("/docs", "GET", app.list_handler("doc"))
-        app.add_user("u")
-        app.post("/docs", {"title": "a", "version": "v2"}, user="u")
-        assert app.get("/docs", user="u").body == [
-            {"id": 1, "title": "a", "version": "v2"},
-        ]
+        app.define_entity("doc", fields=["title"])
+        for name in ("id", "version"):
+            with pytest.raises(ValueError, match=f"'{name}'"):
+                app.define_entity(f"doc {name}", fields=["title", name])
+            with pytest.raises(ValueError, match=f"'{name}'"):
+                app.register_form(Form("doc form", "doc", ["title", name]))
+        assert not app.forms
+        assert app.store.entity_names == ["doc"]
 
     def test_view_route(self, app):
         app.post("/reviews", GOOD, user="pc")

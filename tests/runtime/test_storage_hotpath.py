@@ -5,9 +5,10 @@ is a correctness change instead of a performance change:
 
 * a default (COW) snapshot equals a ``deep=True`` snapshot after any
   sequence of inserts and updates;
-* ``find_by`` through a hash index equals the full-scan equality query,
-  and the rows ``readable_rows`` builds through the clearance index equal
-  rows built from the per-record ``accessible_by`` predicate scan;
+* ``find_by``, down a column or across the rows, equals the full-scan
+  equality query, and the rows ``readable_rows`` builds through the
+  clearance index equal rows built from the per-record ``accessible_by``
+  predicate scan;
 * snapshot isolation survives concurrent writers — a reader never sees a
   torn record, and mutating a snapshot never reaches the store.
 
@@ -90,7 +91,6 @@ def op_sequences(draw):
 def test_cow_snapshots_equal_deepcopy_snapshots(ops):
     """The tentpole equivalence: COW ≡ deepcopy after any write history."""
     store = EntityStore("records")
-    store.create_index("alpha")
     applied_ids = []
     for op in ops:
         if op[0] == "insert":
@@ -167,44 +167,50 @@ def test_deep_escape_hatch_forces_private_values():
     assert snapshots_equal(store.get(record_id), deep)
 
 
+FIELDS = ("alpha", "beta", "gamma", "delta")
+
+
 @settings(max_examples=60, deadline=None)
 @given(ops=op_sequences(), lookup=scalars)
 def test_find_by_matches_the_full_scan_oracle(ops, lookup):
-    indexed = EntityStore("indexed")
-    indexed.create_index("alpha")
-    plain = EntityStore("plain")
+    """``ragged`` holds the payloads as drawn, so it answers by the row
+    scan; ``regular`` pads them to the declared layout, so it answers
+    down the column (zone maps and typed buffers included)."""
+    ragged = EntityStore("ragged")
+    regular = EntityStore("regular", fields=FIELDS)
+
+    def padded(payload):
+        return {name: payload.get(name) for name in FIELDS}
+
     for op in ops:
+        live = sorted(r.record_id for r in ragged.all())
         if op[0] == "insert":
-            record_id = indexed.insert(op[1]).record_id
-            plain.insert(op[1], record_id=record_id)
-        elif op[0] == "update":
-            live = sorted(r.record_id for r in indexed.all())
-            if live:
-                target = live[op[1] % len(live)]
-                indexed.update(target, op[2])
-                plain.update(target, op[2])
-        else:
-            live = sorted(r.record_id for r in indexed.all())
-            if live:
-                target = live[op[1] % len(live)]
-                indexed.delete(target)
-                plain.delete(target)
-    values = {lookup}
-    for record in plain.all():
-        value = record.data.get("alpha")
-        values.add(value if not isinstance(value, list) else tuple(value))
-    for value in values:
-        via_index = indexed.find_by("alpha", value)
-        via_scan = plain.query(lambda data: data.get("alpha") == value)
-        assert [r.record_id for r in via_index] == \
-            [r.record_id for r in via_scan]
-        for left, right in zip(via_index, via_scan):
-            assert snapshots_equal(left, right)
+            record_id = ragged.insert(op[1]).record_id
+            regular.insert(padded(op[1]), record_id=record_id)
+        elif live and op[0] == "update":
+            target = live[op[1] % len(live)]
+            ragged.update(target, op[2])
+            regular.update(target, op[2])
+        elif live:
+            target = live[op[1] % len(live)]
+            ragged.delete(target)
+            regular.delete(target)
+    for store in (ragged, regular):
+        values = {lookup}
+        for record in store.all():
+            value = record.data.get("alpha")
+            values.add(value if not isinstance(value, list) else tuple(value))
+        for value in values:
+            found = store.find_by("alpha", value)
+            via_scan = store.query(lambda data: data.get("alpha") == value)
+            assert [r.record_id for r in found] == \
+                [r.record_id for r in via_scan]
+            for left, right in zip(found, via_scan):
+                assert snapshots_equal(left, right)
 
 
 def test_find_by_with_unhashable_values_falls_back_to_scan():
     store = EntityStore("records")
-    store.create_index("alpha")
     listed = store.insert({"alpha": [1, 2]}).record_id
     store.insert({"alpha": "x"})
     found = store.find_by("alpha", [1, 2])
@@ -325,7 +331,6 @@ def test_shareability_recovers_once_the_mutable_value_is_replaced():
 def test_concurrent_writers_never_tear_reader_snapshots():
     """Writers publish {'a': i, 'b': i}; a torn read would break a == b."""
     store = EntityStore("records")
-    store.create_index("a")
     record_id = store.insert({"a": 0, "b": 0}).record_id
     stop = threading.Event()
     torn = []
