@@ -5,23 +5,17 @@ sweeps*: admission mirrors each chunk into the column arrays at C speed
 (one set comparison + per-field ``extend``), store-resident DQ sweeps
 run the compiled plan down the columns against write-time zone maps at
 >= 2x the row ``check_batch`` oracle, telemetry absorbs whole column
-chunks at >= 3x the row walk (>= 2x stdlib-only), and every answer
-stays byte-equal to the row-oracle path.  The slow test is the CLI
-floors (``cluster-bench --columnar``); the micro-benchmarks pin the
-per-op costs underneath — chunk admission, the memoized sweep, column
-scans, zone-pruned misses and confidentiality reads.
-
-Kernel-sensitive benches run once per kernel mode (``numpy`` and the
-pure-stdlib ``array`` fallback) via the ``kernel_mode`` fixture, so
-both lanes emit speedups side by side; ``REPRO_NO_NUMPY=1`` drops the
-numpy lane entirely.
+chunks at >= 2x the row walk, and every answer stays byte-equal to the
+row-oracle path.  The slow test is the CLI floors (``cluster-bench
+--columnar``); the micro-benchmarks pin the per-op costs underneath —
+chunk admission, the memoized sweep, column scans, zone-pruned misses
+and confidentiality reads.
 """
 
 import random
 
 import pytest
 
-from repro import colkernels
 from repro.casestudy import easychair
 from repro.cluster import easychair_spec, run_columnar_bench
 from repro.dq.metadata import Clock
@@ -31,17 +25,6 @@ from repro.runtime.storage import ContentStore, EntityStore
 pytestmark = pytest.mark.columnar
 
 SEED = 23
-
-
-@pytest.fixture(params=["numpy", "array"])
-def kernel_mode(request):
-    """Run a bench under each kernel mode; the numpy lane skips when
-    numpy is unavailable or ``REPRO_NO_NUMPY=1`` forced the fallback."""
-    use_numpy = request.param == "numpy"
-    if use_numpy and not colkernels.numpy_active():
-        pytest.skip("numpy unavailable or REPRO_NO_NUMPY=1")
-    with colkernels.forced_mode(use_numpy):
-        yield request.param
 
 
 def _bound_rows(count, seed=SEED):
@@ -76,7 +59,7 @@ def test_chunk_admission(benchmark):
     assert stats["slots"] == 256 and not stats["irregular"]
 
 
-def test_warm_sweep(benchmark, kernel_mode):
+def test_warm_sweep(benchmark):
     """The memoized store-resident sweep: zone maps prove columns clean."""
     spec, form, rows = _bound_rows(2_000)
     plan = form.compiled_plan()
@@ -88,7 +71,7 @@ def test_warm_sweep(benchmark, kernel_mode):
     assert len(verdicts) == 2_000 and not any(verdicts.values())
 
 
-def test_column_scan(benchmark, kernel_mode):
+def test_column_scan(benchmark):
     """``find_by`` without an index: one C-level column equality scan."""
     spec, _form, rows = _bound_rows(2_000)
     store = EntityStore(spec.entity)
@@ -101,13 +84,13 @@ def test_column_scan(benchmark, kernel_mode):
     )
 
 
-def test_zone_pruned_miss(benchmark, kernel_mode):
+def test_zone_pruned_miss(benchmark):
     """A probe outside the zone-map envelope: answered without touching
     a single cell (the domain-audit fast path)."""
     spec, _form, rows = _bound_rows(2_000)
     store = EntityStore(spec.entity)
     store.insert_many(rows)
-    store.find_by("overall_evaluation", 99)  # sync the kernels once
+    store.find_by("overall_evaluation", 99)  # sync the zone maps once
 
     found = benchmark(store.find_by, "overall_evaluation", 99)
     assert found == []
@@ -131,9 +114,9 @@ def test_readable_rows(benchmark):
     assert isinstance(readable, list) and readable
 
 
-def test_column_absorption(benchmark, kernel_mode):
+def test_column_absorption(benchmark):
     """Absorbing one layout-uniform 256-row chunk as captured "cols"
-    ops: typed buffer slices plus column-type hints, no row transpose."""
+    ops: spine column slices plus census hints, no row transpose."""
     spec, _form, rows = _bound_rows(256)
     store = EntityStore(spec.entity)
     stored_list = store.insert_many(rows)

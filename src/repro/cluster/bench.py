@@ -191,8 +191,9 @@ def _overhead(path: HotpathRow, base: HotpathRow) -> float:
 class Floor:
     """One acceptance floor: value ``metric`` must stay ``op`` (``">="``
     or ``"<="``) ``bound``.  A callable ``bound`` is computed from the
-    report (kernel mode, backend, size); ``smoke`` replaces the bound in
-    :func:`run_smoke`, whose small runs give noisier ratios."""
+    report (backend, size, planned kills, staleness bound); ``smoke``
+    replaces the bound in :func:`run_smoke`, whose small runs give
+    noisier ratios."""
 
     metric: str
     op: str
@@ -206,13 +207,6 @@ class Floor:
 
     def holds(self, value: float, bound: float) -> bool:
         return value >= bound if self.op == ">=" else value <= bound
-
-
-def _by_kernels(numpy: float, stdlib: float) -> Callable:
-    """A bound that depends on the column kernels the bench ran on."""
-    return lambda report: (
-        numpy if report.details["kernels"]["mode"] == "numpy" else stdlib
-    )
 
 
 #: Every bench's floors.  The comparison floors are checked by
@@ -242,16 +236,8 @@ FLOORS: dict = {
     "columnar": (
         Floor("columnar_sweep_warm_vs_row_oracle", ">=", 2.0),
         Floor("columnar_sweep_cold_vs_row_oracle", ">=", 1.0),
-        Floor(
-            "column_absorb_vs_row_walk", ">=", _by_kernels(3.0, 2.0),
-            smoke=1.8,
-        ),
-        # ``array`` equality has no vector lane: the stdlib scan rides
-        # the exact ``list.index`` walk
-        Floor(
-            "column_scan_vs_dict_scan", ">=", _by_kernels(1.5, 1.0),
-            smoke=1.2,
-        ),
+        Floor("column_absorb_vs_row_walk", ">=", 2.0, smoke=1.8),
+        Floor("column_scan_vs_dict_scan", ">=", 1.0, smoke=1.2),
         Floor("equivalence_diffs", "<=", 0),
     ),
     "durability": (
@@ -1261,8 +1247,8 @@ def run_columnar_bench(
        prove whole columns clean without touching a cell), against the
        row oracle ``check_batch`` over the same pre-materialized dicts,
        best-of-``rounds``.  Warm sweep, and cold sweep (first sweep
-       after a mutation — the kernels are maintained incrementally at
-       write time, so it pays no zone-map rebuild).  The sweep must
+       after a mutation — the zone maps are maintained incrementally at
+       write time, so it pays no rebuild).  The sweep must
        equal the oracle — also on a mutated mixed store (defects,
        updates, deletes, tombstones), where the sweep demotes itself to
        the exact path.
@@ -1307,7 +1293,7 @@ def run_columnar_bench(
 
     def cold_pass() -> HotpathRow:
         # one throwaway insert+delete dirties the spine, so this sweep
-        # pays whatever post-write kernel work is left (with the
+        # pays whatever post-write zone-map work is left (with the
         # incremental maintenance: folding the mutated tail, not a
         # rebuild)
         probe = store.insert({name: None for name in store.fields}
@@ -1477,13 +1463,10 @@ def run_columnar_bench(
             equivalence_diffs += 1  # pragma: no cover - confidentiality bug
 
     zone_maps = store.columnar_stats()
-    kernels = zone_maps.pop("kernels")
     return BenchReport(
         "columnar",
-        f"columnar spine bench — EasyChair review entity, {records} "
-        f"record(s), {kernels['mode']} kernels "
-        f"({kernels.get('promotions', 0)} column(s) promoted, "
-        f"{kernels.get('demotions', 0)} demotion(s))",
+        "columnar spine bench — EasyChair review entity, "
+        f"{records} record(s)",
         seed,
         [cold_row, warm_row, oracle_row, absorb_columns_row,
          absorb_rows_row, dict_scan_row, column_scan_row],
@@ -1503,7 +1486,7 @@ def run_columnar_bench(
             "equivalence_checks": equivalence_checks,
             "equivalence_diffs": equivalence_diffs,
         },
-        {"records": records, "zone_maps": zone_maps, "kernels": kernels},
+        {"records": records, "zone_maps": zone_maps},
     )
 
 

@@ -48,13 +48,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from array import array
 from collections import Counter
 from hashlib import blake2b
 from operator import attrgetter, itemgetter, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ..colkernels import EXACT_FLOAT_INT, int_column_summary
 from .metrics import compiled_pattern
 from .profiling import (
     ENUM_MAX_CARDINALITY,
@@ -86,6 +84,15 @@ _HASH_MEMO_LIMIT = 4096
 
 _HASH_SPACE = float(2 ** 64)
 
+#: Chunks shorter than this take the scalar fold: on them the sort and
+#: per-pair sums of :func:`int_column_summary` cost more than they save.
+_MIN_SUMMARY_CHUNK = 16
+
+#: Every float partial sum over integers stays exactly representable
+#: while its magnitude is bounded by this (see
+#: ``FieldAccumulator._add_int_summary``).
+_EXACT_FLOAT_INT = 2 ** 53
+
 _PATTERN_COUNT = len(KNOWN_PATTERNS)
 _COMPILED_PATTERNS = tuple(
     compiled_pattern(pattern) for _, pattern in KNOWN_PATTERNS
@@ -104,6 +111,45 @@ def _hash64(key: str, _blake2b=blake2b, _from_bytes=int.from_bytes) -> int:
     except UnicodeEncodeError:
         raw = key.encode("utf-8", "surrogatepass")
     return _from_bytes(_blake2b(raw, digest_size=8).digest(), "big")
+
+
+def census_hint(kinds) -> Optional[str]:
+    """The :meth:`FieldAccumulator.add_column` hint a type census
+    proves: ``"str"`` or ``"int"`` when every cell is exactly that
+    type, ``None`` otherwise."""
+    if kinds == {str}:
+        return "str"
+    if kinds == {int}:
+        return "int"
+    return None
+
+
+def int_column_summary(tally: Counter, count: int) -> Optional[tuple]:
+    """The census of an all-``int`` chunk of ``count`` cells from its
+    distinct table: ``(lowest, highest, magnitude, total, sumsq,
+    pairs)``, with exact Python-int ``total``/``sumsq`` and the
+    ``(value, count)`` pairs in sorted-value order (dict equality is
+    order-free, and the one order-sensitive event — a mid-chunk spill —
+    replays the per-value oracle anyway).
+
+    ``None`` for a short chunk, or unless the support is narrow
+    (scores, flags, enums — at most ``count / 8`` distinct values): on
+    a wide support the per-pair Python math would cost more than the
+    C-level sums over the cells.
+    """
+    if count < _MIN_SUMMARY_CHUNK or len(tally) * 8 > count:
+        return None
+    pairs = sorted(tally.items())
+    lowest = pairs[0][0]
+    highest = pairs[-1][0]
+    return (
+        lowest,
+        highest,
+        max(-lowest, highest, 1),
+        sum(value * times for value, times in pairs),
+        sum(value * value * times for value, times in pairs),
+        pairs,
+    )
 
 
 class KMVSketch:
@@ -438,36 +484,19 @@ class FieldAccumulator:
         left-to-right addition order ``add`` would use, spill handled
         mid-column.  Mixed chunks fall back to per-value :meth:`add`.
         The per-value path stays the equivalence oracle (the property
-        suite pins both to identical accumulator state).  ``hint ==
-        "str"`` is capture-side census evidence (the spine's zone map
-        proved every cell it ever admitted a ``str``) that skips the
+        suite pins both to identical accumulator state).  ``hint`` is
+        capture-side census evidence (:func:`census_hint` of the spine's
+        zone map, which saw every cell it ever admitted) that skips the
         type walk.
         """
         if not values:
             return
+        if hint is None:
+            hint = census_hint(set(map(type, values)))
         if hint == "str":
             self.total += len(values)
             self._add_str_column(values)
-            return
-        if type(values) is array:
-            # A typed spine slice (``observe_inserted`` hands promoted
-            # columns over as ``array('q'/'d')`` copies): the typecode
-            # IS the census, so skip the per-value type walk.  Elements
-            # box to plain ``int``/``float`` on access — the same
-            # Python numbers the row walk reads from the dicts.
-            if values.typecode == "q":
-                self.total += len(values)
-                self._add_int_column(values)
-            else:
-                add = self.add
-                for value in values:
-                    add(value)
-            return
-        kinds = set(map(type, values))
-        if kinds == {str}:
-            self.total += len(values)
-            self._add_str_column(values)
-        elif kinds == {int}:
+        elif hint == "int":
             self.total += len(values)
             self._add_int_column(values)
         else:
@@ -604,10 +633,10 @@ class FieldAccumulator:
         # bounds come off the tally's key set (the minimum over the
         # support IS the minimum over the multiset, exactly) so the
         # chunk pays two tiny passes instead of two full ones.
-        summary = int_column_summary(values)
+        tally = Counter(values)
+        summary = int_column_summary(tally, len(values))
         if summary is not None and self._add_int_summary(values, summary):
             return
-        tally = Counter(values)
         self._num_n += len(values)
         self._num_sum = sum(values, self._num_sum)
         lowest = min(tally)
@@ -641,10 +670,10 @@ class FieldAccumulator:
             numeric[value] = numeric.get(value, 0) + count
 
     def _add_int_summary(self, values: Sequence, summary: tuple) -> bool:
-        """Fold a vectorized all-int census (``colkernels.
-        int_column_summary``) into the numeric state, **iff** the result
-        is provably bit-identical to the sequential fold; ``False``
-        sends the caller down the exact scalar path.
+        """Fold an all-int census (:func:`int_column_summary`) into the
+        numeric state, **iff** the result is provably bit-identical to
+        the sequential fold; ``False`` sends the caller down the exact
+        scalar path.
 
         Exactness argument: when the running sum is an ``int``, integer
         addition is associative, so ``current + total`` equals the
@@ -657,26 +686,18 @@ class FieldAccumulator:
         lowest, highest, magnitude, total, sumsq, pairs = summary
         count = len(values)
         current = self._num_sum
-        if type(current) is int:
-            if total is None:
-                return False
-        elif (
-            total is None
-            or type(current) is not float
+        if type(current) is not int and (
+            type(current) is not float
             or not current.is_integer()
-            or abs(current) + count * magnitude > EXACT_FLOAT_INT
+            or abs(current) + count * magnitude > _EXACT_FLOAT_INT
         ):
             return False
         current_sq = self._num_sumsq
-        if type(current_sq) is int:
-            if sumsq is None:
-                return False
-        elif (
-            sumsq is None
-            or type(current_sq) is not float
+        if type(current_sq) is not int and (
+            type(current_sq) is not float
             or not current_sq.is_integer()
             or abs(current_sq) + count * magnitude * magnitude
-            > EXACT_FLOAT_INT
+            > _EXACT_FLOAT_INT
         ):
             return False
         self._num_n += count
@@ -1116,7 +1137,7 @@ class EntityAccumulator:
         accumulators are independent, so absorbing a field's values
         contiguously instead of row-interleaved reaches the same state).
         ``hints``, when given, is layout-aligned census evidence from
-        the capture side (``"str"`` = proven all-``str``).
+        the capture side (:func:`census_hint`).
         """
         self.updates += 1
         accumulators = self._fields

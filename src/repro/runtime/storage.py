@@ -38,16 +38,8 @@ from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro import colkernels
-from repro.colkernels import (
-    TypedColumn,
-    equal_slots,
-    extend_typed,
-    promote_column,
-    set_typed,
-)
 from repro.dq.metadata import Clock, DQMetadataRecord
-from repro.dq.streaming import EntityAccumulator
+from repro.dq.streaming import EntityAccumulator, census_hint
 
 #: Value types a snapshot may share with the live record: immutable
 #: scalars, plus immutable containers of the same.
@@ -312,7 +304,7 @@ class ColumnStats:
     scanning a single cell).
 
     Maintained *incrementally*: the store folds every admitted value
-    into the map — chunk admissions via one vectorizable
+    into the map — chunk admissions via the C-level passes of
     :meth:`observe_chunk`, in-place cell writes via :meth:`observe` —
     so a sweep never rescans a column to refresh its map (the cost that
     used to sink cold sweeps).  The map is a **sticky superset
@@ -358,10 +350,10 @@ class ColumnStats:
     def observe_chunk(self, values, census: set) -> None:
         """Fold a chunk into the envelope with C-level passes.
 
-        ``census`` is the chunk's exact type census (the caller already
-        has it for buffer promotion).  Bit-identical to folding the
-        chunk value by value through :meth:`observe`, for any chunking
-        of the same value sequence — the admission tests pin this.
+        ``census`` is the chunk's exact type census.  Bit-identical to
+        folding the chunk value by value through :meth:`observe`, for
+        any chunking of the same value sequence — the admission tests
+        pin this.
         """
         self.kinds |= census
         if census <= _NUMERIC_ZONE_KINDS:
@@ -531,7 +523,7 @@ class EntityStore:
         # deviates from it is tracked in ``_irregular`` and every
         # column-answered read falls back to the dict scan while any
         # such record exists.  Row dicts stay authoritative — the spine
-        # only mirrors them so the hot paths (vectorized validation,
+        # only mirrors them so the hot paths (column validation,
         # telemetry absorption, equality scans) can run down columns.
         self._layout: Optional[tuple[str, ...]] = self.fields or None
         self._cols: dict[str, list] = {name: [] for name in self.fields}
@@ -552,23 +544,16 @@ class EntityStore:
         self._irregular: set[int] = set()
         self._tombstones = 0
         self._col_epoch = 0
-        # Column kernels: the zone maps (sticky per-column ColumnStats
-        # envelopes) and the typed buffers (machine-scalar mirrors of
-        # homogeneous numeric columns, ``repro.colkernels``).  Both are
-        # maintained *incrementally*: ``_kernel_upto`` counts the
-        # leading spine slots already folded in; chunk admission folds
-        # its tail eagerly, single inserts defer to the next columnar
-        # read (``_sync_kernels``), and in-place cell writes below the
-        # watermark are folded at write time.  ``_demoted`` columns
-        # stay plain lists until compaction rebuilds the kernel state.
+        # Zone maps: sticky per-column ColumnStats envelopes, maintained
+        # *incrementally*: ``_zone_upto`` counts the leading spine
+        # slots already folded in; chunk admission folds its tail
+        # eagerly, single inserts defer to the next columnar read
+        # (``_sync_zone_maps``), and in-place cell writes below the
+        # watermark are folded at write time.
         self._col_stats: dict[str, ColumnStats] = {
             name: ColumnStats() for name in self._cols
         }
-        self._typed: dict[str, TypedColumn] = {}
-        self._demoted: set[str] = set()
-        self._kernel_upto = 0
-        self._kernel_promotions = 0
-        self._kernel_demotions = 0
+        self._zone_upto = 0
         # Streaming DQ telemetry: maintained under the entity lock next
         # to the confidentiality index, default-on.  ``None`` while
         # disabled (or pending a rebuild after re-enabling).  Writes only
@@ -739,11 +724,11 @@ class EntityStore:
             self._slots.update(zip(rids, range(base, base + len(rids))))
             for name, column in self._col_pairs:
                 column.extend(map(itemgetter(name), datas))
-            # Chunk admissions fold into the kernels eagerly: the chunk
-            # is in hand and homogeneous, so the zone-map/buffer update
-            # is one vectorizable pass — and sweeps right after a bulk
-            # load (the cold-sweep case) find the kernels already warm.
-            self._sync_kernels()
+            # Chunk admissions fold into the zone maps eagerly: the
+            # chunk is in hand and homogeneous, so the update is one
+            # C-level pass per column — and sweeps right after a bulk
+            # load (the cold-sweep case) find the zone maps already warm.
+            self._sync_zone_maps()
         else:
             for stored in stored_list:
                 self._col_add(stored)
@@ -760,21 +745,13 @@ class EntityStore:
             cols = self._cols
             stats = self._col_stats
             self._col_epoch += 1
-            synced = slot < self._kernel_upto
+            synced = slot < self._zone_upto
             for name, value in delta.items():
                 column = cols[name]
                 if synced:
-                    # the cell is inside the kernels: widen the sticky
-                    # envelope with the new value and patch the buffer
-                    # (or demote it if the value changed type)
+                    # the cell is inside the zone maps: widen the
+                    # sticky envelope with the new value
                     stats[name].observe(value)
-                    typed = self._typed.get(name)
-                    if typed is not None and not set_typed(
-                        typed, slot, value
-                    ):
-                        del self._typed[name]
-                        self._demoted.add(name)
-                        self._kernel_demotions += 1
                 else:
                     # the old cell would be lost before the next sync —
                     # fold it into the envelope now, exactly as if the
@@ -798,8 +775,8 @@ class EntityStore:
     def _col_tombstone(self, slot: int) -> None:
         self._col_epoch += 1
         self._col_ids[slot] = None
-        if slot >= self._kernel_upto:
-            # the dying cells never reached the kernels — fold them into
+        if slot >= self._zone_upto:
+            # the dying cells never reached the zone maps — fold them into
             # the envelopes first (as the sync would have), so eager and
             # lazy admission styles keep bit-identical zone maps
             for name, column in self._col_pairs:
@@ -823,28 +800,22 @@ class EntityStore:
         self._slots = {rid: slot for slot, rid in enumerate(self._col_ids)}
         self._tombstones = 0
         # Compaction is the one event that sheds dead weight from the
-        # kernels: reset them so the next sync rebuilds zone maps and
-        # buffers from exactly the surviving cells (this is also what
-        # clears a sticky demotion once the offending cells are gone).
+        # zone maps: reset them so the next sync rebuilds them from
+        # exactly the surviving cells.
         self._col_stats = {name: ColumnStats() for name in self._cols}
-        self._typed = {}
-        self._demoted = set()
-        self._kernel_upto = 0
+        self._zone_upto = 0
 
-    def _sync_kernels(self) -> None:
-        """Fold the unsynced spine tail into the zone maps and typed
-        buffers (entity lock held).
+    def _sync_zone_maps(self) -> None:
+        """Fold the unsynced spine tail into the zone maps (entity lock
+        held).
 
-        ``_kernel_upto`` counts the leading slots already folded in;
-        everything past it is absorbed here in one pass per column —
-        census, chunked zone-map fold, buffer extend (or first
-        promotion, or demotion when the tail breaks the column's type).
-        Tombstoned tail slots are skipped for the envelope (their cells
-        are dead ``None``s) and padded with fillers in the buffers so
-        buffer index == spine slot always holds.
+        ``_zone_upto`` counts the leading slots already folded in;
+        everything past it is absorbed here in one census and chunked
+        zone-map fold per column.  Tombstoned tail slots are skipped
+        (their cells are dead ``None``s).
         """
         ids = self._col_ids
-        upto = self._kernel_upto
+        upto = self._zone_upto
         total = len(ids)
         if upto == total:
             return
@@ -856,47 +827,20 @@ class EntityStore:
             ]
             if len(live) == total - upto:
                 live = None
-        typed_map = self._typed
-        demoted = self._demoted
+        stats = self._col_stats
         for name, column in self._col_pairs:
             if live is None:
                 tail = column[upto:]
             else:
                 tail = [column[slot] for slot in live]
-            census = set(map(type, tail))
-            stats = self._col_stats[name]
             if tail:
-                stats.observe_chunk(tail, census)
-            typed = typed_map.get(name)
-            if typed is not None:
-                if not tail:
-                    typed.pad(total - upto)
-                else:
-                    if live is not None:
-                        filler = typed.filler
-                        tail = [
-                            column[slot] if ids[slot] is not None
-                            else filler
-                            for slot in range(upto, total)
-                        ]
-                    if not extend_typed(typed, census, tail):
-                        del typed_map[name]
-                        demoted.add(name)
-                        self._kernel_demotions += 1
-            elif tail and name not in demoted:
-                promoted = promote_column(column, ids)
-                if promoted is not None:
-                    typed_map[name] = promoted
-                    self._kernel_promotions += 1
-                else:
-                    demoted.add(name)
-        self._kernel_upto = total
+                stats[name].observe_chunk(tail, set(map(type, tail)))
+        self._zone_upto = total
 
     def columnar_stats(self) -> dict:
         """Introspection for tests and the columnar bench."""
         with self._lock:
-            self._sync_kernels()
-            typed = self._typed
+            self._sync_zone_maps()
             return {
                 "layout": list(self._layout) if self._layout else None,
                 "slots": len(self._slots),
@@ -907,17 +851,6 @@ class EntityStore:
                     name: stats.as_dict()
                     for name, stats in self._col_stats.items()
                 },
-                "kernels": {
-                    "mode": colkernels.kernel_mode(),
-                    "columns": {
-                        name: (
-                            typed[name].mode if name in typed else "list"
-                        )
-                        for name in self._cols
-                    },
-                    "promotions": self._kernel_promotions,
-                    "demotions": self._kernel_demotions,
-                },
             }
 
     def revalidate(self, plan) -> dict[int, list]:
@@ -927,9 +860,9 @@ class EntityStore:
         This is the full-entity DQ sweep (scorecard-style re-audit of
         already-admitted data).  When the plan carries a column-sliced
         body and every record sits in the spine, each scan term runs
-        down whole columns — and the zone maps (refreshed lazily per
-        mutation epoch) usually answer a column in O(1) without
-        touching a single cell.  Any irregular record, plan without a
+        down whole columns — and the zone maps (folded in on admission)
+        usually answer a column in O(1) without touching a single
+        cell.  Any irregular record, plan without a
         columnar body, or field mismatch falls back to the fused row
         scan over the authoritative dicts, so the result is identical
         either way (the row path is the oracle).
@@ -943,15 +876,11 @@ class EntityStore:
                 and not self._irregular
                 and set(plan.bound_fields) <= set(self._cols)
             ):
-                self._sync_kernels()
+                self._sync_zone_maps()
                 bound = plan.bound_fields
                 columns = [self._cols[name] for name in bound]
                 stats = [self._col_stats[name] for name in bound]
-                typed = self._typed
-                buffers = [typed.get(name) for name in bound]
-                results = check_columns(
-                    columns, len(self._col_ids), stats, buffers
-                )
+                results = check_columns(columns, len(self._col_ids), stats)
                 ids = self._col_ids
                 if self._tombstones:
                     # dead slots ride along in the column pass (their
@@ -1131,48 +1060,31 @@ class EntityStore:
                             break
                         expected += 1
                     if expected is not None:
-                        count = len(stored_list)
-                        # Promoted columns hand over *typed* slices —
-                        # ``array('q'/'d')`` copies straight off the
-                        # kernel buffer, so the absorb-side numeric
-                        # census reads machine scalars via the buffer
-                        # protocol instead of re-boxing a list.  Exact:
-                        # the contiguity walk above proved every slot in
-                        # [base, base+count) belongs to a live record
-                        # (deleted ids leave ``_slots``), and the synced
-                        # watermark proves the buffer mirrors the cells.
-                        typed = self._typed
-                        stats = self._col_stats
-                        upto = self._kernel_upto
-                        end = base + count
-                        synced = upto >= end
+                        end = base + len(stored_list)
+                        # Census hints: the contiguity walk above proved
+                        # every slot in [base, end) belongs to a live
+                        # record (deleted ids leave ``_slots``), and once
+                        # the watermark covers them the zone map's
+                        # admitted-type census is a superset of these
+                        # cells — so ``kinds == {str}`` (or ``{int}``)
+                        # proves the slice all that type and absorb
+                        # skips its type walk.
+                        hints = None
+                        if self._zone_upto >= end:
+                            stats = self._col_stats
+                            hints = tuple(
+                                census_hint(stats[name].kinds)
+                                for name in layout
+                            )
                         self._telemetry_pending.append((
                             "cols",
                             layout,
-                            [
-                                buffer.buf[base:end]
-                                if synced
-                                and (buffer := typed.get(name)) is not None
-                                else column[base:end]
-                                for name, column in zip(
-                                    layout, self._col_list
-                                )
-                            ],
+                            [column[base:end] for column in self._col_list],
                             [
                                 (stored.record_id, stored.metadata)
                                 for stored in stored_list
                             ],
-                            # Census hints: the zone map's admitted-type
-                            # census covers a superset of these cells
-                            # (every value ever written, None included),
-                            # so ``kinds == {str}`` proves the slice
-                            # all-``str`` and absorb skips its type walk.
-                            tuple(
-                                "str"
-                                if synced and stats[name].kinds == {str}
-                                else None
-                                for name in layout
-                            ) if synced else None,
+                            hints,
                         ))
                         return
             self._telemetry_pending.append(("rows", [
@@ -1409,7 +1321,7 @@ class EntityStore:
             records = self._records
             column = self._cols.get(field_name)
             if column is not None and not self._irregular:
-                self._sync_kernels()
+                self._sync_zone_maps()
                 ids = self._col_ids
                 stat = self._col_stats.get(field_name)
                 if (
@@ -1426,15 +1338,6 @@ class EntityStore:
                     # (or is NaN), so no live cell can ``==`` it —
                     # answer without touching a single cell.
                     return []
-                typed = self._typed.get(field_name)
-                if typed is not None:
-                    slots = equal_slots(typed, value)
-                    if slots is not None:
-                        return [
-                            records[rid].snapshot(deep)
-                            for slot in slots
-                            if (rid := ids[slot]) is not None
-                        ]
                 matched: list[int] = []
                 search = column.index
                 position = 0

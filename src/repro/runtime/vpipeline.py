@@ -44,7 +44,6 @@ import threading
 from collections import OrderedDict
 from typing import Optional, Sequence
 
-from repro.colkernels import range_defect_slots
 from repro.dq.validators import (
     CompletenessValidator,
     CredibilityValidator,
@@ -667,13 +666,9 @@ def _credibility_checks(trusted):
 
 
 def _column_specs(validators) -> Optional[list[tuple]]:
-    """``[(field, clean, defect, vbounds), ...]`` for a chain, or
-    ``None`` when any validator contributes a non-field-local term (OCL
-    consistency reads the whole record) or is not scannable at all.
-    ``vbounds`` is the ``(lower, upper)`` window for the terms whose
-    defect test is exactly a numeric range (bounds, currentness —
-    ``None`` for an open side), which the check body can hand to the
-    typed-buffer kernels; ``None`` for every other term.  Mirrors
+    """``[(field, clean, defect), ...]`` for a chain, or ``None`` when
+    any validator contributes a non-field-local term (OCL consistency
+    reads the whole record) or is not scannable at all.  Mirrors
     :meth:`_PlanBuilder.scan_exprs`'s missing-dropped-when-bounded
     shortcut (a missing value fails the bounds class test anyway, so
     the defect set is unchanged)."""
@@ -683,45 +678,40 @@ def _column_specs(validators) -> Optional[list[tuple]]:
         if kind is CompletenessValidator:
             for field in validator.required_fields:
                 collected.append(
-                    ("missing", field, _missing_clean, _is_missing_value,
-                     None)
+                    ("missing", field, _missing_clean, _is_missing_value)
                 )
         elif kind is PrecisionValidator:
             for field, (lower, upper) in validator.bounds.items():
                 clean, defect = _range_checks(lower, upper)
-                collected.append(
-                    ("bounds", field, clean, defect, (lower, upper))
-                )
+                collected.append(("bounds", field, clean, defect))
         elif kind is FormatValidator:
             for field, pattern in validator.patterns.items():
                 clean, defect = _format_checks(
                     pattern, validator.allow_missing
                 )
-                collected.append(("format", field, clean, defect, None))
+                collected.append(("format", field, clean, defect))
         elif kind is EnumValidator:
             for field, values in validator.allowed.items():
                 clean, defect = _enum_checks(
                     values, validator.allow_missing
                 )
-                collected.append(("enum", field, clean, defect, None))
+                collected.append(("enum", field, clean, defect))
         elif kind is CurrentnessValidator:
             clean, defect = _currentness_checks(validator.max_age)
             collected.append(
-                ("currentness", validator.age_field, clean, defect,
-                 (None, validator.max_age))
+                ("currentness", validator.age_field, clean, defect)
             )
         elif kind is CredibilityValidator:
             clean, defect = _credibility_checks(validator.trusted_sources)
             collected.append(
-                ("credibility", validator.source_field, clean, defect,
-                 None)
+                ("credibility", validator.source_field, clean, defect)
             )
         else:
             return None
-    bounded = {f for kind, f, _, _, _ in collected if kind == "bounds"}
+    bounded = {f for kind, f, _, _ in collected if kind == "bounds"}
     return [
-        (field, clean, defect, vbounds)
-        for kind, field, clean, defect, vbounds in collected
+        (field, clean, defect)
+        for kind, field, clean, defect in collected
         if not (kind == "missing" and field in bounded)
     ]
 
@@ -734,17 +724,17 @@ def _build_check_columns(layout, specs, findings_slow):
     positions = {name: index for index, name in enumerate(layout)}
     try:
         checks = tuple(
-            (positions[field], clean, defect, vbounds)
-            for field, clean, defect, vbounds in specs
+            (positions[field], clean, defect)
+            for field, clean, defect in specs
         )
     except KeyError:
         return None
     position_items = tuple(positions.items())
 
-    def check_columns(columns, count, stats=None, buffers=None):
+    def check_columns(columns, count, stats=None):
         defects = None
         kinds_cache: dict = {}
-        for position, clean, defect, vbounds in checks:
+        for position, clean, defect in checks:
             column = columns[position]
             if stats is not None:
                 stat = stats[position]
@@ -760,28 +750,6 @@ def _build_check_columns(layout, specs, findings_slow):
                     continue
             except Exception:
                 pass
-            if vbounds is not None and buffers is not None:
-                # Typed lane: the column is a promoted int64/float64
-                # buffer and the term is a pure numeric range, so the
-                # defect bitmap is one vectorized compare.  On a typed
-                # column the row term reduces to the range test (every
-                # cell is a real int/float), and the kernel's bound
-                # translation is exact — any case it cannot answer
-                # exactly returns None and the scalar loop below runs.
-                typed = buffers[position]
-                if typed is not None and len(typed) == count:
-                    try:
-                        slots = range_defect_slots(
-                            typed, vbounds[0], vbounds[1]
-                        )
-                    except Exception:
-                        slots = None
-                    if slots is not None:
-                        if slots:
-                            if defects is None:
-                                defects = set()
-                            defects.update(slots)
-                        continue
             if defects is None:
                 defects = set()
             flag = defects.add
@@ -1100,7 +1068,7 @@ def compile_plan(
     check_columns = None
     if scan is not None and layout:
         if not validators:
-            def check_columns(columns, count, stats=None, buffers=None):
+            def check_columns(columns, count, stats=None):
                 return [[] for _ in range(count)]
         else:
             specs = _column_specs(validators)

@@ -14,7 +14,6 @@ from repro.cluster.bench import FLOORS
 
 #: What the computed bounds read, per bench.
 DETAILS = {
-    "columnar": {"kernels": {"mode": "numpy"}},
     "durability": {
         "backend": "file", "records": 20_000, "storm": {"kills_planned": 3},
     },
@@ -80,15 +79,17 @@ def test_every_floor_is_a_ge_or_le_bound():
     ("dqtelemetry", "equivalence_diffs", None, False, 0),
     ("columnar", "columnar_sweep_warm_vs_row_oracle", None, False, 2.0),
     ("columnar", "columnar_sweep_cold_vs_row_oracle", None, False, 1.0),
-    ("columnar", "column_absorb_vs_row_walk", None, False, 3.0),
+    # the columnar bounds read no report detail, unlike durability's
+    # recovery bound, which scales with the record count
+    ("columnar", "column_absorb_vs_row_walk", None, False, 2.0),
     ("columnar", "column_absorb_vs_row_walk",
-     {"kernels": {"mode": "array"}}, False, 2.0),
+     {"records": 200_000}, False, 2.0),
     ("columnar", "column_absorb_vs_row_walk", None, True, 1.8),
     ("columnar", "column_absorb_vs_row_walk",
-     {"kernels": {"mode": "array"}}, True, 1.8),
-    ("columnar", "column_scan_vs_dict_scan", None, False, 1.5),
+     {"records": 200_000}, True, 1.8),
+    ("columnar", "column_scan_vs_dict_scan", None, False, 1.0),
     ("columnar", "column_scan_vs_dict_scan",
-     {"kernels": {"mode": "array"}}, False, 1.0),
+     {"records": 200_000}, False, 1.0),
     ("columnar", "column_scan_vs_dict_scan", None, True, 1.2),
     ("columnar", "equivalence_diffs", None, False, 0),
     ("durability", "write_overhead", None, False, 0.25),

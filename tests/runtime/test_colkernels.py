@@ -1,204 +1,22 @@
-"""Unit tests for the typed column kernels (:mod:`repro.colkernels`).
+"""Unit tests for the integer column census
+(:func:`repro.dq.streaming.int_column_summary`).
 
-The kernels are caches over list columns, so every test here is an
-exactness pin: promotion only for homogeneous int/float columns (with
-tombstone fillers slot-aligned), demotion exactly on type breaks or
-int64 overflow, and each vector lane — equality probes, range masks,
-the int-chunk census — answering bit-equal to the per-value Python
-oracle, including the deliberately nasty cases (``2**53 + 1`` probes,
-NaN bounds, bignum sums past int64).
+The census is the column kernel behind
+:meth:`~repro.dq.streaming.FieldAccumulator.add_column` for all-``int``
+chunks: it folds the chunk's distinct table into bounds, exact
+Python-int sums and sorted ``(value, count)`` pairs.  Every test here is
+an exactness pin against the per-value oracle, including sums far past
+int64, and a pin on the chunks it declines (short or wide support),
+which the scalar fold then takes.
 """
 
-import math
-from array import array
+from collections import Counter
 
 import pytest
 
-from repro import colkernels
-from repro.colkernels import (
-    MIN_VECTOR_CHUNK,
-    TypedColumn,
-    equal_slots,
-    extend_typed,
-    int_column_summary,
-    promote_column,
-    range_all_within,
-    range_defect_slots,
-    set_typed,
-)
+from repro.dq.streaming import int_column_summary
 
 pytestmark = pytest.mark.columnar
-
-INT64_MAX = 2**63 - 1
-
-needs_numpy = pytest.mark.skipif(
-    not colkernels.numpy_active(),
-    reason="numpy unavailable or REPRO_NO_NUMPY=1",
-)
-
-
-# -- TypedColumn -----------------------------------------------------------
-
-
-def test_typed_column_is_array_backed():
-    typed = TypedColumn("q", [1, 2, 3])
-    assert type(typed.buf) is array and typed.buf.typecode == "q"
-    assert len(typed) == 3
-    typed.pad(2)
-    assert list(typed.buf) == [1, 2, 3, 0, 0]
-    assert TypedColumn("d").filler == 0.0 and TypedColumn("q").filler == 0
-
-
-def test_typed_column_view_follows_mode():
-    typed = TypedColumn("d", [1.5, -2.5])
-    with colkernels.forced_mode(False):
-        assert typed.mode == "array" and typed.view() is None
-    if colkernels.numpy_active():
-        with colkernels.forced_mode(True):
-            assert typed.mode == "numpy"
-            assert typed.view().tolist() == [1.5, -2.5]
-
-
-# -- promotion / demotion --------------------------------------------------
-
-
-def test_promote_column_typecodes():
-    ids = [1, 2, 3]
-    assert promote_column([1, 2, 3], ids).typecode == "q"
-    assert promote_column([1.0, 2.0, 3.0], ids).typecode == "d"
-    for mixed in ([1, 2.0, 3], [1, None, 3], ["a", "b", "c"], [True, 1, 2]):
-        assert promote_column(mixed, ids) is None
-
-
-def test_promote_column_fills_tombstones():
-    typed = promote_column([7, 99, 8], [1, None, 2])
-    assert list(typed.buf) == [7, 0, 8]  # filler at the dead slot
-
-
-def test_promote_column_rejects_non_int64():
-    assert promote_column([1, 2**64, 3], [1, 2, 3]) is None
-
-
-def test_extend_typed_type_and_overflow_breaks():
-    typed = TypedColumn("q", [1, 2])
-    assert extend_typed(typed, {int}, [3, 4])
-    assert list(typed.buf) == [1, 2, 3, 4]
-    assert not extend_typed(typed, {int, float}, [5, 6.0])
-    assert not extend_typed(typed, {int}, [2**64])
-    floats = TypedColumn("d", [1.0])
-    assert extend_typed(floats, {float}, [2.5])
-    assert not extend_typed(floats, {int}, [3])
-
-
-def test_set_typed_in_place_and_demotion_triggers():
-    typed = TypedColumn("q", [1, 2, 3])
-    assert set_typed(typed, 1, 42) and typed.buf[1] == 42
-    assert not set_typed(typed, 1, 4.0)  # float into an int buffer
-    assert not set_typed(typed, 1, True)  # bool is not an int cell
-    assert not set_typed(typed, 1, 2**64)  # past int64
-    floats = TypedColumn("d", [1.0])
-    assert set_typed(floats, 0, -2.5) and floats.buf[0] == -2.5
-    assert not set_typed(floats, 0, 1)
-
-
-# -- equality lane ---------------------------------------------------------
-
-
-@needs_numpy
-def test_equal_slots_matches_python_equality():
-    values = [-3, 0, 2, 2, 7, -3]
-    typed = TypedColumn("q", values)
-    with colkernels.forced_mode(True):
-        for probe in (-3, 2, 99, 0.0, 2.0, True, False, float("nan")):
-            expected = [
-                slot for slot, value in enumerate(values) if value == probe
-            ]
-            assert equal_slots(typed, probe) == expected
-        # non-numeric probes must fall back to the oracle scan
-        assert equal_slots(typed, "2") is None
-        assert equal_slots(typed, None) is None
-        # int64-overflowing int probe can't match any stored cell
-        assert equal_slots(typed, 2**64) == []
-
-
-@needs_numpy
-def test_equal_slots_exactness_past_float53():
-    """2**53 + 1 has no float64 twin: the int lane must stay exact on
-    int columns and refuse the inexact probe on float columns."""
-    probe = 2**53 + 1
-    ints = TypedColumn("q", [2**53, probe])
-    floats = TypedColumn("d", [float(2**53)])
-    with colkernels.forced_mode(True):
-        assert equal_slots(ints, probe) == [1]
-        assert equal_slots(ints, float(2**53)) == [0]
-        assert equal_slots(floats, probe) is None  # oracle decides
-
-
-def test_equal_slots_fallback_mode_defers():
-    with colkernels.forced_mode(False):
-        assert equal_slots(TypedColumn("q", [1, 2]), 1) is None
-
-
-# -- range lane ------------------------------------------------------------
-
-
-@needs_numpy
-@pytest.mark.parametrize(
-    "values, code",
-    [([-4, -1, 0, 3, 9], "q"), ([-4.0, -1.5, 0.0, 3.25, 9.0], "d")],
-)
-def test_range_kernels_match_python_predicate(values, code):
-    typed = TypedColumn(code, values)
-    bounds = [None, -4, -1.5, 0, 2.5, 9, 10.5, math.inf, -math.inf]
-    with colkernels.forced_mode(True):
-        for lower in bounds:
-            for upper in bounds:
-                expected = [
-                    slot for slot, value in enumerate(values)
-                    if not (
-                        (lower is None or lower <= value)
-                        and (upper is None or value <= upper)
-                    )
-                ]
-                got = range_defect_slots(typed, lower, upper)
-                assert got is None or list(got) == expected
-                within = range_all_within(typed, lower, upper)
-                assert within is None or within == (not expected)
-
-
-@needs_numpy
-def test_range_kernels_nan_semantics():
-    nan = float("nan")
-    typed = TypedColumn("d", [1.0, nan, 3.0])
-    with colkernels.forced_mode(True):
-        # a NaN cell violates any bounded check, exactly like the
-        # per-value predicate
-        assert range_defect_slots(typed, 0.0, 10.0) == [1]
-        # a NaN bound satisfies no comparison: every slot violates
-        assert list(range_defect_slots(typed, nan, None)) == [0, 1, 2]
-        assert range_all_within(typed, nan, None) is False
-
-
-@needs_numpy
-def test_range_kernels_inexact_bound_defers():
-    typed = TypedColumn("d", [1.0, 2.0])
-    with colkernels.forced_mode(True):
-        # 2**53 + 1 has no exact float64 twin: only the oracle may
-        # answer a float-column comparison against it
-        assert range_defect_slots(typed, None, 2**53 + 1) is None
-        # ...but on an int column the bound translates exactly
-        ints = TypedColumn("q", [2**53, 2**53 + 1, 2**53 + 2])
-        assert range_defect_slots(ints, None, 2**53 + 1) == [2]
-
-
-def test_range_kernels_fallback_mode_defers():
-    with colkernels.forced_mode(False):
-        typed = TypedColumn("q", [1, 2, 3])
-        assert range_defect_slots(typed, 0, 10) is None
-        assert range_all_within(typed, 0, 10) is None
-
-
-# -- int census ------------------------------------------------------------
 
 
 def _census_oracle(values):
@@ -217,35 +35,18 @@ def _census_oracle(values):
 
 
 def test_int_column_summary_narrow_lane_is_exact_everywhere():
-    """Narrow support (scores/enums) takes the Counter lane: exact
-    bignum math, available in both modes."""
+    """Narrow support (scores/enums) folds through the distinct table
+    with exact bignum math, past int64 too."""
     values = [-3, 2, 2, -3, 0, 2, 0, -3] * 4  # 32 cells, 3 distinct
-    big = [2**70, -(2**70)] * (MIN_VECTOR_CHUNK)  # far past int64
-    for use_numpy in (False, True):
-        if use_numpy and not colkernels.numpy_active():
-            continue
-        with colkernels.forced_mode(use_numpy):
-            assert int_column_summary(values) == _census_oracle(values)
-            assert int_column_summary(big) == _census_oracle(big)
-
-
-@needs_numpy
-def test_int_column_summary_wide_lane():
-    values = list(range(MIN_VECTOR_CHUNK * 4))  # all-distinct: wide
-    with colkernels.forced_mode(True):
-        got = int_column_summary(values)
-    lowest, highest, magnitude, total, sumsq, pairs = _census_oracle(values)
-    assert got[:3] == (lowest, highest, magnitude)
-    assert got[3] in (None, total) and got[4] in (None, sumsq)
-    assert got[5] == pairs
-    # past int64 the ndarray cast fails and the caller falls back
-    wide_big = [2**64 + offset for offset in range(MIN_VECTOR_CHUNK * 4)]
-    with colkernels.forced_mode(True):
-        assert int_column_summary(wide_big) is None
+    big = [2**70, -(2**70)] * 16  # far past int64
+    for chunk in (values, big):
+        summary = int_column_summary(Counter(chunk), len(chunk))
+        assert summary == _census_oracle(chunk)
 
 
 def test_int_column_summary_no_lane():
-    assert int_column_summary([1, 2]) is None  # short chunk
-    wide = list(range(MIN_VECTOR_CHUNK * 4))
-    with colkernels.forced_mode(False):
-        assert int_column_summary(wide) is None  # wide support, no numpy
+    """Short chunks and wide supports are left to the scalar fold."""
+    assert int_column_summary(Counter([1, 2]), 2) is None  # short chunk
+    assert int_column_summary(Counter([5] * 8), 8) is None  # short, narrow
+    wide = list(range(64))  # all-distinct
+    assert int_column_summary(Counter(wide), len(wide)) is None

@@ -13,19 +13,22 @@ the seeded kill-restart and topology-fault drills to show the spine
 never leaks into the recovery or determinism contracts.
 """
 
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import colkernels
 from repro.casestudy import easychair
 from repro.cluster import easychair_spec, run_chaos, run_topology_chaos
 from repro.dq.streaming import (
     EntityAccumulator,
     FieldAccumulator,
     KMVSketch,
+    census_hint,
 )
 from repro.runtime.storage import EntityStore
 
@@ -203,14 +206,10 @@ def test_revalidate_matches_check_batch(seed):
     assert store.revalidate(plan) == oracle
 
 
-# -- typed kernel equivalence ----------------------------------------------
+# -- type-changing writes ----------------------------------------------------
 #
-# The typed buffers (``repro.colkernels``) are a cache, never an
-# authority: promotion must be invisible, demotion must be triggered by
-# exactly the writes that break a column's type, and every kernel lane
-# (numpy or the stdlib fallback) must answer bit-equal to the list/dict
-# oracle.  ``forced_mode`` pins each lane explicitly so the suite holds
-# even on a box where numpy is absent.
+# An overwrite that changes a column's type widens its sticky zone map;
+# the pruned scans must still answer exactly as the dict oracle does.
 
 irregular_values = st.one_of(
     st.floats(allow_nan=True, allow_infinity=False),
@@ -220,29 +219,19 @@ irregular_values = st.one_of(
 )
 
 
-def _kernel_lanes():
-    lanes = [False]
-    if colkernels.numpy_active():
-        lanes.append(True)
-    return lanes
-
-
 @given(
     base=st.lists(st.integers(-1_000, 1_000), min_size=4, max_size=20),
     stages=st.lists(irregular_values, min_size=1, max_size=6),
 )
 @settings(max_examples=60, deadline=None)
-def test_promotion_demotion_roundtrip(base, stages):
-    """int→float→None→str overwrites: each type-breaking write demotes
-    its buffer, and scan answers stay oracle-equal at every stage."""
+def test_type_changing_overwrites_keep_scans_exact(base, stages):
+    """int→float→None→str overwrites of an all-int column: scan answers
+    stay oracle-equal at every stage."""
     store = EntityStore("Entity", fields=LAYOUT)
     stored = store.insert_many([
         {"alpha": value, "beta": value, "gamma": float(value)}
         for value in base
     ])
-    kernels = store.columnar_stats()["kernels"]
-    assert kernels["columns"]["alpha"] != "list"  # all-int → 'q'
-    assert kernels["columns"]["gamma"] != "list"  # all-float → 'd'
 
     oracle = {record.record_id: dict(record.data) for record in stored}
     for index, value in enumerate(stages):
@@ -262,63 +251,49 @@ def test_promotion_demotion_roundtrip(base, stages):
             )
             assert found == expected
 
-    kernels = store.columnar_stats()["kernels"]
-    if any(type(value) is not int for value in stages):
-        assert kernels["columns"]["alpha"] == "list"
-        assert kernels["demotions"] >= 1
-    else:
-        assert kernels["columns"]["alpha"] != "list"
-    # the untouched columns never demote
-    assert kernels["columns"]["beta"] != "list"
-    assert kernels["columns"]["gamma"] != "list"
-
 
 @given(ops=op_sequences())
 @settings(max_examples=40, deadline=None)
 def test_kernel_modes_agree_on_scans(ops):
-    """numpy lanes ≡ the stdlib fallback ≡ the dict oracle: the same
-    operation sequence yields identical zone maps, promotion/demotion
-    tallies and scan answers under either kernel mode."""
-    observed = []
-    for use_numpy in _kernel_lanes():
-        with colkernels.forced_mode(use_numpy):
-            store = EntityStore("Entity", fields=LAYOUT)
-            oracle: dict = {}
-            apply_to_both(store, oracle, ops)
-            stats = store.columnar_stats()
-            scans = {}
-            for field_name in LAYOUT:
-                seen = sorted(
-                    {data.get(field_name) for data in oracle.values()},
-                    key=repr,
+    """``find_by``'s two lanes ≡ the dict oracle: the zone-map-pruned
+    column scan and the row scan a store falls back to once it holds a
+    ragged record answer alike, for seen values and for probes of each
+    kind that no drawn value can equal."""
+    column_store = EntityStore("Entity", fields=LAYOUT)
+    oracle: dict = {}
+    apply_to_both(column_store, oracle, ops)
+    row_store = EntityStore("Entity", fields=LAYOUT)
+    apply_to_both(row_store, {}, ops)
+    # the ragged record sends every scan of ``row_store`` down the row
+    # lane; its cells equal none of the probes below
+    row_store.insert({name: "zz-ragged" for name in LAYOUT + ("delta",)})
+    assert row_store.columnar_stats()["irregular"] >= 1
+
+    for field_name in LAYOUT:
+        seen = sorted(
+            {data.get(field_name) for data in oracle.values()},
+            key=repr,
+        )
+        for probe in seen[:3] + ["zz-miss", 10**9]:
+            expected = sorted(
+                rid for rid, data in oracle.items()
+                if data.get(field_name) == probe
+            )
+            for store in (column_store, row_store):
+                found = sorted(
+                    record.record_id
+                    for record in store.find_by(field_name, probe)
                 )
-                for probe in seen[:3] + ["zz-miss", 10**9]:
-                    found = sorted(
-                        record.record_id
-                        for record in store.find_by(field_name, probe)
-                    )
-                    assert found == sorted(
-                        rid for rid, data in oracle.items()
-                        if data.get(field_name) == probe
-                    )
-                    scans[(field_name, repr(probe))] = found
-            observed.append({
-                "zone_maps": stats["zone_maps"],
-                "slots": stats["slots"],
-                "tombstones": stats["tombstones"],
-                "irregular": stats["irregular"],
-                "promotions": stats["kernels"]["promotions"],
-                "demotions": stats["kernels"]["demotions"],
-                "scans": scans,
-            })
-    assert all(entry == observed[0] for entry in observed[1:])
+                assert found == expected
 
 
 @given(seed=st.integers(0, 100_000))
 @settings(max_examples=15, deadline=None)
 def test_kernel_modes_agree_on_sweep_and_telemetry(seed):
-    """Check bodies and telemetry absorption answer identically under
-    both kernel modes, and identically to the row oracles."""
+    """The column sweep and the captured ``cols`` telemetry op answer
+    identically to the row oracles.  The op carries the zone maps'
+    census hints (``"int"`` for the EasyChair scores), so absorbing it
+    skips the type walk the row walk pays."""
     rng = random.Random(seed)
     spec = easychair_spec()
     form = easychair.build_app().form(spec.form)
@@ -335,26 +310,61 @@ def test_kernel_modes_agree_on_sweep_and_telemetry(seed):
     stored_list = store.insert_many(rows)
     store.observe_inserted(stored_list)
     ops = store.pending_telemetry_ops()
+    [(kind, _layout, _columns, _meta, hints)] = ops
+    assert kind == "cols" and "int" in hints
     row_triples = [
         (stored.record_id, stored.data, stored.metadata)
         for stored in stored_list
     ]
 
     live = store.all()
-    sweep_oracle = dict(zip(
+    assert store.revalidate(plan) == dict(zip(
         [stored.record_id for stored in live],
         plan.check_batch([stored.data for stored in live], False),
     ))
     walked = EntityAccumulator(spec.entity)
     walked.observe_rows(row_triples)
-    telemetry_oracle = walked.stats()
+    absorbed = EntityAccumulator(spec.entity)
+    absorbed.absorb(ops)
+    assert absorbed.stats() == walked.stats()
 
-    for use_numpy in _kernel_lanes():
-        with colkernels.forced_mode(use_numpy):
-            assert store.revalidate(plan) == sweep_oracle
-            absorbed = EntityAccumulator(spec.entity)
-            absorbed.absorb(ops)
-            assert absorbed.stats() == telemetry_oracle
+
+NO_NUMPY_SCRIPT = """
+import random
+import sys
+
+import repro
+import repro.cluster
+from repro.casestudy import easychair
+from repro.cluster import easychair_spec
+from repro.dq.metadata import Clock
+from repro.runtime.storage import ContentStore
+
+spec = easychair_spec()
+form = easychair.build_app().form(spec.form)
+rng = random.Random(7)
+rows = [form.bind(spec.clean_payload(rng)) for _ in range(64)]
+content = ContentStore(Clock())
+content.define(spec.entity)
+content.store_many(spec.entity, rows, "chair")
+entity = content.entity(spec.entity)
+assert len(entity.revalidate(form.compiled_plan())) == 64
+assert entity.find_by("overall_evaluation", rows[0]["overall_evaluation"])
+assert entity.telemetry_snapshot().stats()["records"] == 64
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+
+
+def test_the_columnar_paths_never_import_numpy():
+    """One kernel mode: loading a chunk, sweeping it, scanning it and
+    reading its telemetry is pure stdlib in a fresh process."""
+    src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+    fresh = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": src},
+    )
+    assert fresh.returncode == 0, fresh.stderr
 
 
 @given(
@@ -365,12 +375,10 @@ def test_kernel_modes_agree_on_sweep_and_telemetry(seed):
 )
 @settings(max_examples=60, deadline=None)
 def test_add_column_nan_parity(values, threshold):
-    """Typed float buffers with NaN/inf cells absorb identically to the
+    """Float columns with NaN/inf cells absorb identically to the
     per-value walk (state compared by repr: NaN breaks ``==``)."""
-    from array import array
-
     columnar = FieldAccumulator("field", spill_threshold=threshold)
-    columnar.add_column(array("d", values))
+    columnar.add_column(values)
     rowwise = FieldAccumulator("field", spill_threshold=threshold)
     for value in values:
         rowwise.add(value)
@@ -424,19 +432,23 @@ def field_state(accumulator: FieldAccumulator) -> dict:
     values=st.lists(scalars, max_size=50),
     threshold=st.integers(4, 12),
     split=st.integers(0, 50),
+    hinted=st.booleans(),
 )
 @settings(max_examples=80, deadline=None)
-def test_add_column_equals_per_value_add(values, threshold, split):
+def test_add_column_equals_per_value_add(values, threshold, split, hinted):
     """Column absorption ≡ per-value ``add``, spill point included.
 
     A small ``spill_threshold`` forces the exact→sketch handover to
     land mid-column, and splitting the column in two arbitrary chunks
     moves the handover relative to the chunk boundary — the states must
-    still converge bit-for-bit.
+    still converge bit-for-bit.  ``hinted`` passes each chunk the census
+    hint the capture side would (``"int"`` or ``"str"`` when the chunk
+    is exactly that type).
     """
     columnar = FieldAccumulator("field", spill_threshold=threshold)
-    columnar.add_column(values[:split])
-    columnar.add_column(values[split:])
+    for chunk in (values[:split], values[split:]):
+        hint = census_hint(set(map(type, chunk))) if hinted else None
+        columnar.add_column(chunk, hint)
     rowwise = FieldAccumulator("field", spill_threshold=threshold)
     for value in values:
         rowwise.add(value)
