@@ -496,6 +496,15 @@ def _command_cluster_bench(args, out) -> int:
 
 
 def _command_chaos(args, out) -> int:
+    from repro.persistence import RecoveryError
+
+    try:
+        return _run_chaos(args, out)
+    except RecoveryError as exc:
+        raise _BadInput(f"unrecoverable durable state: {exc}") from None
+
+
+def _run_chaos(args, out) -> int:
     from repro.cluster import run_chaos, run_topology_chaos
 
     backend = args.backend

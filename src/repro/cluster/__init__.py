@@ -55,7 +55,6 @@ from .replication import (
     LogTruncated,
     ReplicaSet,
     ReplicationLog,
-    restore_snapshot,
 )
 from .resilience import (
     CACHE_FILL,
@@ -136,7 +135,6 @@ __all__ = [
     "easychair_spec",
     "fnv1a",
     "moved_fraction",
-    "restore_snapshot",
     "run_chaos",
     "run_columnar_bench",
     "run_comparison",

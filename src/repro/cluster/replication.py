@@ -40,6 +40,7 @@ from repro.persistence import (
     apply_op,
     capture_state,
     op_tick,
+    restore_state,
 )
 from repro.persistence.backend import PersistenceBackend
 
@@ -227,32 +228,6 @@ class LogTruncated(RuntimeError):
     """The requested log tail has been pruned; bootstrap instead."""
 
 
-def restore_snapshot(app, snapshot: dict) -> None:
-    """Load a :func:`capture_state` snapshot into a structurally built,
-    empty app — the bootstrap path for a brand-new (or fallen-behind)
-    follower.  Mirrors the snapshot phase of
-    :func:`repro.persistence.recover_app`: records with exact metadata
-    sidecars and versions, allocator state verbatim, the audit trail,
-    and the clock fast-forwarded past every recovered tick."""
-    max_tick = snapshot.get("tick", 0)
-    for name, state in snapshot.get("entities", {}).items():
-        entity = app.store.entity(name)
-        for record_id, data, meta_state, version in state["records"]:
-            entity.restore_record(
-                record_id, data,
-                metadata_state=meta_state, version=version, reserve=None,
-            )
-        entity.restore_allocator(state["allocator"])
-    for tick, kind, user, entity_name, record_id, detail in (
-        snapshot.get("audit", ())
-    ):
-        app.audit.restore_event(
-            tick, kind, user, entity_name, record_id, detail
-        )
-        max_tick = max(max_tick, tick)
-    app.clock.advance_to(max_tick)
-
-
 class ReplicaSet:
     """One shard's followers, caught up by pulling the primary's log.
 
@@ -334,7 +309,7 @@ class ReplicaSet:
             default=None,
         )
         if lead is not None and self._applied[lead] >= base:
-            restore_snapshot(fresh, capture_state(self.followers[lead]))
+            restore_state(fresh, capture_state(self.followers[lead]))
             self._applied[index] = self._applied[lead]
         else:
             self._applied[index] = base
@@ -349,8 +324,7 @@ class ReplicaSet:
             base = self.log.acked_seq
             for index in range(len(self.followers)):
                 fresh = self._make_follower()
-                if snapshot.get("records_total") or snapshot.get("audit"):
-                    restore_snapshot(fresh, snapshot)
+                restore_state(fresh, snapshot)
                 self.followers[index] = fresh
                 self._applied[index] = base
             self.log.prune(base)
@@ -386,8 +360,7 @@ class ReplicaSet:
             promoted = self.followers[lead]
             fresh = self._make_follower()
             snapshot = capture_state(promoted)
-            if snapshot.get("records_total") or snapshot.get("audit"):
-                restore_snapshot(fresh, snapshot)
+            restore_state(fresh, snapshot)
             self.followers[lead] = fresh
             return promoted, lead
 

@@ -21,6 +21,7 @@ from .recovery import (
     capture_state,
     op_tick,
     recover_app,
+    restore_state,
 )
 from .sqlite import SQLiteBackend
 from .wal import (
@@ -53,4 +54,5 @@ __all__ = [
     "op_tick",
     "persistence_factory",
     "recover_app",
+    "restore_state",
 ]

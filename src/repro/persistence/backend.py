@@ -32,7 +32,6 @@ harmless.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from dataclasses import dataclass, field
@@ -48,6 +47,19 @@ from .wal import (
 
 class RecoveryError(RuntimeError):
     """The durable state cannot be turned back into a running store."""
+
+
+def decode_snapshot(data: bytes, where: str) -> dict:
+    """A checkpoint's state back from its encoded bytes, or
+    :class:`RecoveryError` naming ``where`` when they do not decode to
+    an object."""
+    try:
+        snapshot = decode_payload(data)
+    except WALCorruptionError as exc:
+        raise RecoveryError(f"snapshot {where} unreadable: {exc}") from exc
+    if not isinstance(snapshot, dict):
+        raise RecoveryError(f"snapshot {where} unreadable: not an object")
+    return snapshot
 
 
 @dataclass
@@ -228,11 +240,11 @@ class FileWALBackend(PersistenceBackend):
         snapshot = None
         try:
             with open(self.snapshot_path, "rb") as handle:
-                snapshot = decode_payload(handle.read())
+                snapshot = decode_snapshot(
+                    handle.read(), self.snapshot_path
+                )
         except FileNotFoundError:
             pass
-        except WALCorruptionError as exc:
-            raise RecoveryError(f"snapshot unreadable: {exc}") from exc
         try:
             payloads, torn = self.wal.read_all()
         except WALCorruptionError as exc:
@@ -306,11 +318,3 @@ def persistence_factory(
         )
 
     return factory
-
-
-def _json_roundtrip_guard(op: dict) -> dict:  # pragma: no cover - debug aid
-    """Assert an op survives the codec (used while developing new ops)."""
-    encoded = encode_payload(op)
-    decoded = json.loads(encoded.decode("utf-8"))
-    assert decoded is not None
-    return op

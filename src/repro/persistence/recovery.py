@@ -3,12 +3,13 @@
 Recovery is a strict two-phase replay over what the backend brings back
 (:meth:`~repro.persistence.backend.PersistenceBackend.recover`):
 
-1. **Snapshot** — every entity's records are re-materialized with their
-   exact metadata sidecars and versions, the :class:`IdAllocator` state
-   (watermark + sparse tail) is restored verbatim, and the audit trail
-   is re-appended.  The allocator is restored *as state*, not derived
-   from the surviving records — deriving it would lose
-   reserved-but-unused ids and disarm the duplicate-replay guard.
+1. **Snapshot** — :func:`restore_state` re-materializes every entity's
+   records from their columns with exact metadata sidecars and
+   versions, restores the :class:`IdAllocator` state (watermark +
+   sparse tail) verbatim, and re-appends the audit trail.  The
+   allocator is restored *as state*, not derived from the surviving
+   records — deriving it would lose reserved-but-unused ids and disarm
+   the duplicate-replay guard.
 2. **WAL tail** — ops with a sequence number past the snapshot's
    ``last_seq`` replay in durable order through the stores' ``restore_*``
    paths, which feed the columnar spine, confidentiality buckets and
@@ -19,18 +20,28 @@ Finally the logical clock fast-forwards to the highest tick observed in
 any durable state, so recovered metadata stamps are never reissued.
 
 ``capture_state`` is the inverse — the full-application snapshot the
-backends persist at each checkpoint.
+backends persist at each checkpoint, and the one replication followers
+bootstrap from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+
+from repro.dq.metadata import TRACEABILITY_ATTRIBUTES
 
 from .backend import PersistenceBackend, RecoveryError
 
+#: The per-record columns of an entity snapshot, in restore order; each
+#: holds one value per id (see :meth:`EntityStore.dump_state`).
+_RECORD_COLUMNS = ("ids", "versions", *TRACEABILITY_ATTRIBUTES, "state_of")
+
 
 def capture_state(app) -> dict:
-    """The application's complete durable state, checkpoint-ready."""
+    """The application's complete durable state, checkpoint-ready:
+    each entity's :meth:`~repro.runtime.storage.EntityStore.dump_state`
+    columns and the audit trail's."""
     entities = {
         name: app.store.entity(name).dump_state()
         for name in app.store.entity_names
@@ -41,9 +52,102 @@ def capture_state(app) -> dict:
         "entities": entities,
         "audit": app.audit.dump_state(),
         "records_total": sum(
-            len(state["records"]) for state in entities.values()
+            len(state["ids"]) for state in entities.values()
         ),
     }
+
+
+def _parts(state, names, where: str) -> list:
+    """``state[name]`` for each name, or :class:`RecoveryError` naming
+    the first part ``where`` lacks."""
+    if not isinstance(state, dict):
+        raise RecoveryError(f"{where} is not an object")
+    for name in names:
+        if name not in state:
+            raise RecoveryError(f"{where} has no {name!r}")
+    return [state[name] for name in names]
+
+
+def _restore_entity(entity, state, where: str) -> int:
+    """Restore one entity's snapshot columns; returns the record count."""
+    fields, columns, ragged, states, extra, allocator = _parts(
+        state,
+        ("fields", "columns", "rows", "states", "extra", "allocator"),
+        where,
+    )
+    per_record = _parts(state, _RECORD_COLUMNS, where)
+    count = len(per_record[0])
+    if len(columns) != len(fields) or any(
+        len(column) != count for column in (*per_record, *columns)
+    ):
+        raise RecoveryError(f"{where}: columns of unequal length")
+    ragged = dict(ragged)
+    extra = dict(extra)
+    values = zip(*columns) if columns else repeat((), count)
+    for position, (
+        row, record_id, version, stored_by, stored_date,
+        modified_by, modified_date, state_index,
+    ) in enumerate(zip(values, *per_record)):
+        level, grants = states[state_index]
+        entity.restore_record(
+            record_id,
+            ragged[position] if position in ragged
+            else dict(zip(fields, row)),
+            metadata_state={
+                "stored_by": stored_by,
+                "stored_date": stored_date,
+                "last_modified_by": modified_by,
+                "last_modified_date": modified_date,
+                "security_level": level,
+                "available_to": grants,
+                "extra": extra.get(position, ()),
+            },
+            version=version,
+            reserve=None,
+        )
+    entity.restore_allocator(allocator)
+    return count
+
+
+def restore_state(app, snapshot) -> int:
+    """Load a :func:`capture_state` snapshot into a structurally built,
+    empty ``app``; returns the number of records restored.
+
+    Every record goes through ``restore_record``, so the columnar
+    spine, the clearance index and the telemetry queue are rebuilt, not
+    trusted from the snapshot.  The allocator state is restored
+    verbatim, the audit trail re-appended, and the clock fast-forwarded
+    past every restored tick.  A snapshot that is not in this layout —
+    a missing part, columns of unequal length, an entity the app does
+    not define, or the older one-row-per-record layout — raises
+    :class:`RecoveryError`.  Used by :func:`recover_app` and by
+    replication followers seeded from a primary or a peer.
+    """
+    from repro.runtime.audit import EVENT_FIELDS
+
+    entities, audit, tick = _parts(
+        snapshot, ("entities", "audit", "tick"), "snapshot"
+    )
+    restored = 0
+    for name, state in entities.items():
+        try:
+            entity = app.store.entity(name)
+        except KeyError as exc:
+            raise RecoveryError(
+                f"snapshot references unknown entity {name!r}"
+            ) from exc
+        where = f"snapshot entity {name!r}"
+        try:
+            restored += _restore_entity(entity, state, where)
+        except (TypeError, ValueError, IndexError, KeyError) as exc:
+            raise RecoveryError(f"{where} is malformed: {exc}") from exc
+    events = _parts(audit, EVENT_FIELDS, "snapshot audit")
+    if len(set(map(len, events))) > 1:
+        raise RecoveryError("snapshot audit: columns of unequal length")
+    for event in zip(*events):
+        app.audit.restore_event(*event)
+    app.clock.advance_to(max(tick, max(events[0], default=0)))
+    return restored
 
 
 @dataclass
@@ -213,33 +317,8 @@ def recover_app(app, backend: PersistenceBackend = None) -> RecoveryReport:
     recovered = backend.recover()
     snapshot_records = 0
     max_tick = 0
-    snapshot = recovered.snapshot
-    if snapshot:
-        max_tick = max(max_tick, snapshot.get("tick", 0))
-        for name, state in snapshot.get("entities", {}).items():
-            try:
-                entity = app.store.entity(name)
-            except KeyError as exc:
-                raise RecoveryError(
-                    f"snapshot references unknown entity {name!r}"
-                ) from exc
-            for record_id, data, meta_state, version in state["records"]:
-                entity.restore_record(
-                    record_id,
-                    data,
-                    metadata_state=meta_state,
-                    version=version,
-                    reserve=None,
-                )
-                snapshot_records += 1
-            entity.restore_allocator(state["allocator"])
-        for tick, kind, user, entity_name, record_id, detail in (
-            snapshot.get("audit", ())
-        ):
-            app.audit.restore_event(
-                tick, kind, user, entity_name, record_id, detail
-            )
-            max_tick = max(max_tick, tick)
+    if recovered.snapshot is not None:
+        snapshot_records = restore_state(app, recovered.snapshot)
     for op in recovered.ops:
         try:
             _apply_op(app, op)

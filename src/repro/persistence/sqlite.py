@@ -18,7 +18,12 @@ import sqlite3
 import threading
 import zlib
 
-from .backend import PersistenceBackend, RecoveredState, RecoveryError
+from .backend import (
+    PersistenceBackend,
+    RecoveredState,
+    RecoveryError,
+    decode_snapshot,
+)
 from .wal import WALCorruptionError, decode_payload, encode_payload
 
 _SCHEMA = """
@@ -165,12 +170,7 @@ class SQLiteBackend(PersistenceBackend):
                 "SELECT payload FROM snapshot WHERE id = 1"
             ).fetchone()
             if row is not None:
-                try:
-                    snapshot = decode_payload(bytes(row[0]))
-                except WALCorruptionError as exc:
-                    raise RecoveryError(
-                        f"snapshot unreadable: {exc}"
-                    ) from exc
+                snapshot = decode_snapshot(bytes(row[0]), self.path)
             snapshot_seq = snapshot.get("last_seq", 0) if snapshot else 0
             ops = []
             top = snapshot_seq

@@ -150,11 +150,20 @@ def encode_payload(obj) -> bytes:
     ).encode("utf-8")
 
 
+#: How every tag key appears in encoded bytes (``~`` is never escaped).
+_TAG_BYTES = json.dumps(_TAG).encode("utf-8")
+
+
 def decode_payload(data: bytes):
+    """The value :func:`encode_payload` encoded.  Payloads whose bytes
+    hold no ``"~"`` carry no tag, so ``json.loads`` already is the
+    answer; any other payload (a tag, or just a ``"~"`` string) takes
+    the exact :func:`_unpack` rebuild."""
     try:
-        return _unpack(json.loads(data.decode("utf-8")))
+        value = json.loads(data.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise WALCorruptionError(f"undecodable payload: {exc}") from None
+    return _unpack(value) if _TAG_BYTES in data else value
 
 
 def encode_record(obj) -> bytes:

@@ -10,7 +10,8 @@ trail of every read, write and rejection.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Callable, Optional
 
 from repro.dq.metadata import Clock
@@ -40,6 +41,12 @@ class AuditEvent:
         where = f"{self.entity}#{self.record_id}" if self.record_id else self.entity
         suffix = f" — {self.detail}" if self.detail else ""
         return f"t{self.tick} {self.kind} {where} by {self.user}{suffix}"
+
+
+#: The columns of :meth:`AuditTrail.dump_state`, in constructor order.
+EVENT_FIELDS = tuple(f.name for f in fields(AuditEvent))
+
+_EVENT_COLUMNS = tuple((name, attrgetter(name)) for name in EVENT_FIELDS)
 
 
 class AuditTrail:
@@ -142,13 +149,14 @@ class AuditTrail:
             self._events.append(event)
             return event
 
-    def dump_state(self) -> list:
-        """The full trail as snapshot-ready rows."""
+    def dump_state(self) -> dict:
+        """The full trail as snapshot-ready columns: one list per
+        :data:`EVENT_FIELDS` name, in event order."""
         with self._lock:
-            return [
-                [e.tick, e.kind, e.user, e.entity, e.record_id, e.detail]
-                for e in self._events
-            ]
+            return {
+                name: list(map(getter, self._events))
+                for name, getter in _EVENT_COLUMNS
+            }
 
     # -- queries (the Traceability payoff) ----------------------------------
 

@@ -35,15 +35,21 @@ from __future__ import annotations
 import copy
 import threading
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro.dq.metadata import Clock, DQMetadataRecord
+from repro.dq.metadata import TRACEABILITY_ATTRIBUTES, Clock, DQMetadataRecord
 from repro.dq.streaming import EntityAccumulator, census_hint
 
 #: Value types a snapshot may share with the live record: immutable
 #: scalars, plus immutable containers of the same.
 _FROZEN_SCALARS = (str, int, float, bool, bytes, complex, type(None))
+
+#: Column readers of :meth:`EntityStore.dump_state`.
+_VERSION = attrgetter("version")
+_TRACEABILITY = tuple(
+    (name, attrgetter(name)) for name in TRACEABILITY_ATTRIBUTES
+)
 
 
 def _value_shareable(value) -> bool:
@@ -635,32 +641,29 @@ class EntityStore:
 
     # -- confidentiality index ---------------------------------------------
 
-    def reindex_metadata(self, record_id: int, log: bool = True) -> None:
-        """Refresh the confidentiality index after metadata changed.
-
-        Confidentiality metadata is stamped *after* the insert (the write
-        path hands the live record to ``restrict``), so
-        :meth:`ContentStore.store` calls this once the sidecar is final.
-        ``log=False`` skips the per-record WAL and telemetry ops — for
-        batch callers whose combined :meth:`log_rows` and
-        :meth:`observe_inserted` ops already carry the final metadata.
-        """
+    def reindex_metadata(self, record_id: int) -> None:
+        """Refresh the confidentiality index after a stored record's
+        metadata changed (:meth:`ContentStore.modify` and
+        :meth:`ContentStore.restrict`), and log the re-stamp."""
         with self._lock:
             stored = self._live(record_id)
             self._confidentiality.index(record_id, stored.metadata)
-            if not log:
-                return
-            if self._telemetry is not None:
-                self._telemetry_pending.append(
-                    ("meta", record_id, stored.metadata)
-                )
-            if self._backend is not None:
-                self._backend.append({
-                    "op": "meta",
-                    "entity": self.name,
-                    "id": record_id,
-                    "meta": stored.metadata.to_state(),
-                })
+            self._log_metadata(stored)
+
+    def _log_metadata(self, stored: StoredRecord) -> None:
+        """Queue the telemetry and WAL ops of a metadata stamp (entity
+        lock held)."""
+        if self._telemetry is not None:
+            self._telemetry_pending.append(
+                ("meta", stored.record_id, stored.metadata)
+            )
+        if self._backend is not None:
+            self._backend.append({
+                "op": "meta",
+                "entity": self.name,
+                "id": stored.record_id,
+                "meta": stored.metadata.to_state(),
+            })
 
     # -- columnar spine (entity lock held by every caller) -----------------
 
@@ -898,12 +901,20 @@ class EntityStore:
 
     # -- writes ------------------------------------------------------------
 
-    def insert(self, data: dict, record_id: Optional[int] = None) -> StoredRecord:
+    def insert(
+        self,
+        data: dict,
+        record_id: Optional[int] = None,
+        stamp: Optional[Callable[[DQMetadataRecord], object]] = None,
+    ) -> StoredRecord:
         """Insert a record; returns the **live** stored record.
 
         ``record_id`` lets a caller that allocates ids globally (the
         sharded gateway) pin the id; the local allocator is kept ahead so
-        unpinned inserts never collide with pinned ones.
+        unpinned inserts never collide with pinned ones.  ``stamp``
+        fills the new record's metadata sidecar once its id is taken and
+        before the record is indexed, so the clearance index files each
+        record once, under its final confidentiality state.
         """
         with self._lock:
             pinned = record_id is not None
@@ -916,6 +927,8 @@ class EntityStore:
                     )
                 self._ids.reserve(record_id)
             stored = StoredRecord(record_id, dict(data))
+            if stamp is not None:
+                stamp(stored.metadata)
             self._records[record_id] = stored
             self._confidentiality.index(record_id, stored.metadata)
             self._col_add(stored)
@@ -942,14 +955,16 @@ class EntityStore:
         rows: Sequence[dict],
         record_ids: Optional[Sequence[Optional[int]]] = None,
         log: bool = True,
+        stamp: Optional[Callable[[DQMetadataRecord], object]] = None,
     ) -> list[StoredRecord]:
         """Insert a whole chunk under one lock trip, **telemetry
-        deferred**: the caller stamps metadata on the returned records
-        and then hands the chunk to :meth:`observe_inserted` so the
-        accumulators absorb it in a single batched update (the ≤10%
-        write-overhead contract of ``submit_many``).  ``log=False``
-        defers WAL logging to the caller's :meth:`log_rows`, which
-        folds the stamped metadata into the same combined op.
+        deferred**: ``stamp`` fills each record's metadata as in
+        :meth:`insert`, and the caller then hands the chunk to
+        :meth:`observe_inserted` so the accumulators absorb it in a
+        single batched update (the ≤10% write-overhead contract of
+        ``submit_many``).  ``log=False`` defers WAL logging to the
+        caller's :meth:`log_rows`, which folds the stamped metadata into
+        the same combined op.
         """
         with self._lock:
             if record_ids is None:
@@ -968,6 +983,8 @@ class EntityStore:
                         )
                     self._ids.reserve(record_id)
                 stored = StoredRecord(record_id, dict(data))
+                if stamp is not None:
+                    stamp(stored.metadata)
                 self._records[record_id] = stored
                 self._confidentiality.index(record_id, stored.metadata)
                 stored_list.append(stored)
@@ -1262,17 +1279,65 @@ class EntityStore:
             return self._ids.high_water()
 
     def dump_state(self) -> dict:
-        """This entity's full durable state (records + allocator)."""
+        """This entity's full durable state, one list per column.
+
+        Built from the authoritative records (never the spine), in
+        insertion order: ``fields`` (the first record's keys, sorted by
+        ``repr`` so keys of any type order: the WAL keeps no key order
+        either, so none is state) with one value list per field in
+        ``columns``; ``ids`` and ``versions``;
+        the four traceability columns; the distinct ``[security_level,
+        grants]`` pairs in ``states``, with one index per record in
+        ``state_of``; and sparse ``[position, value]`` pairs for the
+        records whose keys differ from ``fields`` (``rows``, their
+        column cells ``None``) and for non-empty ``extra``.  Every map
+        is str-keyed, so a snapshot of plain values stays on the codec's
+        fast lane.  :func:`repro.persistence.restore_state` is the
+        inverse.
+        """
         with self._lock:
+            records = list(self._records.values())
+            datas = [stored.data for stored in records]
+            metas = [stored.metadata for stored in records]
+            keys = datas[0].keys() if datas else {}.keys()
+            fields = sorted(keys, key=repr)
+            ragged = [
+                [position, dict(data)]
+                for position, data in enumerate(datas)
+                if data.keys() != keys
+            ]
+            if ragged:
+                blank = dict.fromkeys(fields)
+                for position, _data in ragged:
+                    datas[position] = blank
+            states: dict[tuple, int] = {}
+            state_of = []
+            for meta in metas:
+                key = (meta.security_level, frozenset(meta.available_to))
+                index = states.get(key)
+                if index is None:
+                    index = states[key] = len(states)
+                state_of.append(index)
             return {
-                "records": [
-                    [
-                        stored.record_id,
-                        dict(stored.data),
-                        stored.metadata.to_state(),
-                        stored.version,
-                    ]
-                    for stored in self._records.values()
+                "fields": fields,
+                "columns": [
+                    list(map(itemgetter(name), datas)) for name in fields
+                ],
+                "rows": ragged,
+                "ids": list(self._records),
+                "versions": list(map(_VERSION, records)),
+                **{
+                    name: list(map(getter, metas))
+                    for name, getter in _TRACEABILITY
+                },
+                "states": [
+                    [level, sorted(grants)] for level, grants in states
+                ],
+                "state_of": state_of,
+                "extra": [
+                    [position, dict(meta.extra)]
+                    for position, meta in enumerate(metas)
+                    if meta.extra
                 ],
                 "allocator": self._ids.to_state(),
             }
@@ -1498,10 +1563,12 @@ class ContentStore:
         """Insert with traceability + confidentiality metadata captured."""
         entity = self.entity(entity_name)
         with entity._lock:
-            stored = entity.insert(data, record_id=record_id)
-            stored.metadata.record_store(user, self.clock)
-            stored.metadata.restrict(security_level, available_to)
-            entity.reindex_metadata(stored.record_id)
+            stored = entity.insert(
+                data,
+                record_id=record_id,
+                stamp=self._stamp(user, security_level, available_to),
+            )
+            entity._log_metadata(stored)
             return stored
 
     def store_many(
@@ -1521,12 +1588,11 @@ class ContentStore:
         entity = self.entity(entity_name)
         with entity._lock:
             stored_list = entity.insert_many(
-                rows, record_ids=record_ids, log=False
+                rows,
+                record_ids=record_ids,
+                log=False,
+                stamp=self._stamp(user, security_level, available_to),
             )
-            for stored in stored_list:
-                stored.metadata.record_store(user, self.clock)
-                stored.metadata.restrict(security_level, available_to)
-                entity.reindex_metadata(stored.record_id, log=False)
             # one WAL op carries the whole stamped chunk (data + metadata)
             entity.log_rows(
                 stored_list, record_ids,
@@ -1536,6 +1602,19 @@ class ContentStore:
             )
             entity.observe_inserted(stored_list)
             return stored_list
+
+    def _stamp(
+        self, user: str, security_level: int, available_to: Iterable[str]
+    ) -> Callable[[DQMetadataRecord], None]:
+        """A new record's metadata stamp: creation provenance on this
+        store's clock, then confidentiality."""
+        clock = self.clock
+
+        def stamp(metadata: DQMetadataRecord) -> None:
+            metadata.record_store(user, clock)
+            metadata.restrict(security_level, available_to)
+
+        return stamp
 
     def modify(
         self, entity_name: str, record_id: int, data: dict, user: str

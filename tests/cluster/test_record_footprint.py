@@ -138,3 +138,44 @@ def test_a_fleet_without_faults_keeps_no_registry_and_writes_once(loaded):
         for event in shard.audit.by_kind("store")
     )
     assert stored == sorted(acked)
+
+
+def test_each_stored_order_is_indexed_once(monkeypatch):
+    """Stores stamp a new record's sidecar before the clearance index
+    files it, so no record is indexed under the default state first and
+    then moved."""
+    from repro.runtime.storage import _ConfidentialityIndex
+
+    calls = Counter()
+    index, unindex = _ConfidentialityIndex.index, _ConfidentialityIndex.unindex
+
+    def counted_index(self, record_id, metadata):
+        calls["index"] += 1
+        return index(self, record_id, metadata)
+
+    def counted_unindex(self, record_id):
+        if record_id in self._state:
+            calls["live unindex"] += 1
+        return unindex(self, record_id)
+
+    monkeypatch.setattr(_ConfidentialityIndex, "index", counted_index)
+    monkeypatch.setattr(_ConfidentialityIndex, "unindex", counted_unindex)
+    gateway = ShardedGateway.from_design(
+        webshop.build_design(), shard_count=4, users=webshop.USERS,
+        resilience=ResilienceConfig(),
+    )
+    try:
+        rows = orders(241)
+        for start in range(0, 240, BATCH_ROWS):
+            for response in gateway.submit_many(
+                FORM, rows[start:start + BATCH_ROWS], WRITER
+            ):
+                assert response.status == 201, response.body
+        assert calls == {"index": 240}
+        calls.clear()
+        assert gateway.submit(FORM, rows[240], WRITER).status == 201
+        assert calls == {"index": 1}
+        for store in order_stores(gateway):
+            assert len(store._confidentiality._state) == len(store)
+    finally:
+        gateway.close()

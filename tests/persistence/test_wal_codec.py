@@ -100,6 +100,53 @@ def test_plain_rejects_subclasses():
     assert not _plain([LoudStr("x")])
 
 
+#: Text made of the characters the tag and its JSON quoting are made of.
+_tilde_text = st.text(alphabet='~"\\ab', max_size=6)
+
+
+@given(st.recursive(
+    st.one_of(_tilde_text, st.tuples(_tilde_text)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(_tilde_text, children, max_size=3),
+    ),
+    max_leaves=8,
+))
+@settings(max_examples=150, deadline=None)
+def test_tilde_strings_and_keys_round_trip(value):
+    op = {"data": value}
+    assert decode_payload(encode_payload(op)) == op
+
+
+@pytest.mark.parametrize("op", [
+    {"s": "~"},
+    {"s": '"~"', "t": 'x"~"y', "u": "~~"},
+    {"~": "set", "v": []},
+    {"data": {"~": "tuple", "v": [1]}},
+    {"rows": [[1, {"~": None}], [2, ("~",)]]},
+])
+def test_values_that_look_like_tags_round_trip(op):
+    assert decode_payload(encode_payload(op)) == op
+
+
+def test_only_payloads_holding_the_tag_key_take_the_rebuild(monkeypatch):
+    from repro.persistence import wal
+
+    rebuilt = []
+    unpack = wal._unpack
+    monkeypatch.setattr(
+        wal, "_unpack", lambda value: rebuilt.append(value) or unpack(value)
+    )
+    for op, rebuild in (
+        ({"op": "rows", "rows": [[1, ["a~b", "~~", 2.5, None]]]}, False),
+        ({"op": "rows", "rows": [[1, ("a", "b")]]}, True),
+        ({"detail": "~"}, True),
+    ):
+        rebuilt.clear()
+        assert decode_payload(encode_payload(op)) == op
+        assert bool(rebuilt) is rebuild
+
+
 @given(st.lists(ops, min_size=1, max_size=4), st.integers(min_value=1))
 @settings(max_examples=60, deadline=None)
 def test_torn_tail_is_truncated_not_raised(op_list, cut):

@@ -338,6 +338,43 @@ class TestBadInput:
         err = self.assert_usage_error(capsys, argv, *fragments)
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("damage, fragment", [
+        ("corrupt", "snapshot.json unreadable: undecodable payload"),
+        ("missing ids", "has no 'ids'"),
+        ("row layout", "has no 'fields'"),
+    ])
+    def test_chaos_refuses_an_unrecoverable_data_dir(
+        self, capsys, tmp_path, damage, fragment
+    ):
+        from repro.casestudy import easychair
+        from repro.persistence import capture_state, encode_payload
+        from repro.runtime.dqengine import build_app
+
+        snapshot = capture_state(build_app(easychair.build_design()))
+        snapshot["last_seq"] = 0
+        name, state = next(iter(snapshot["entities"].items()))
+        if damage == "missing ids":
+            del state["ids"]
+        elif damage == "row layout":
+            # one [id, data, metadata, version] row per record
+            snapshot["entities"][name] = {
+                "records": [[1, {}, {"stored_by": "chair"}, 1]],
+                "allocator": state["allocator"],
+            }
+        payload = (
+            b'{"entities": {' if damage == "corrupt"
+            else encode_payload(snapshot)
+        )
+        (tmp_path / "shard-0").mkdir()
+        (tmp_path / "shard-0" / "snapshot.json").write_bytes(payload)
+        err = self.assert_usage_error(
+            capsys,
+            ["chaos", "--durability", "--data-dir", str(tmp_path),
+             "--count", "20", "--preload", "2"],
+            "unrecoverable durable state", fragment,
+        )
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("command", [
         "validate", "transform", "codegen", "srs", "assess", "diff",
     ])
