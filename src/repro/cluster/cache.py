@@ -7,9 +7,15 @@ the paper's Confidentiality DQSR intact under caching:
   level** — a filtered read cached for a cleared PC member can never be
   served to an uncleared outsider, and if an account's clearance changes,
   entries keyed under the old level simply stop matching;
-* every accepted **write invalidates the written entity's entries** before
-  the write is acknowledged, so readers never see a stale view past the
-  acknowledgement.
+* an entry never outlives the data it was read from, yet a write
+  retires only what it changed.  A **list** entry (:class:`FrozenList`)
+  keeps the rows each shard contributed, tagged with the shard's data
+  version they were read at; it hits only while every live shard is
+  still at those versions, and otherwise the gateway re-reads just the
+  shards that moved.  A **view** entry holds one record; the accepted
+  update of that record drops its views (:meth:`ReadThroughCache.
+  invalidate_record`) under the record's shard lock, where view fills
+  also run, before the write is acknowledged.
 
 Entries are stored *frozen* and thawed per hit, so a caller mutating a
 served body can never poison the cache — the same defensive-copy
@@ -20,9 +26,9 @@ than by walking the values again: a body whose values are all immutable
 is kept as private shallow copies of its rows and thawed by shallow copy
 again — C-speed dict copies; any other body is kept and thawed by
 ``copy.deepcopy``, so every value keeps its type.  The gateway freezes
-each served read once and hands the same :class:`FrozenBody` to the
-read cache and to :class:`LastGoodStore`; both only ever thaw it, so
-sharing it is safe.
+each served read once and hands the same frozen body to the read cache
+and to :class:`LastGoodStore`; both only ever thaw it, so sharing it is
+safe.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ from __future__ import annotations
 import copy
 import threading
 from collections import OrderedDict
+from itertools import chain
+from operator import itemgetter
 
 #: Key kinds (first element of every cache key).
 LIST = "list"
@@ -66,6 +74,29 @@ class FrozenBody:
     def thaw(self):
         """A fresh copy of the body for one caller."""
         return self._thaw(self._value)
+
+
+class FrozenList(FrozenBody):
+    """A gathered list, frozen: the rows each live shard returned, read
+    at that shard's data version, and their id-sorted merge.
+
+    ``parts[i]`` is a :class:`~repro.runtime.storage.Rows` read at data
+    version ``versions[i]``.  The parts are kept as they are, never
+    copied in: a fresh read's rows are dicts no one else holds, and a
+    reused part already belongs to an earlier entry.  The merge shares
+    their dicts, and only thawed copies ever leave.
+    """
+
+    __slots__ = ("versions", "parts")
+
+    def __init__(self, versions: tuple, parts: tuple):
+        self.versions = versions
+        self.parts = parts
+        self._value = sorted(chain.from_iterable(parts), key=itemgetter("id"))
+        self._thaw = (
+            _thaw_rows if all(part.shareable for part in parts)
+            else copy.deepcopy
+        )
 
 
 class CacheStats:
@@ -107,7 +138,9 @@ class ReadThroughCache:
             raise ValueError("capacity must be >= 0")
         self.capacity = capacity
         self._entries: OrderedDict[tuple, FrozenBody] = OrderedDict()
-        self._by_entity: dict[str, set[tuple]] = {}
+        # (entity, record id) -> the view keys held for that record, so
+        # a write drops one record's views without walking the cache
+        self._views: dict[tuple, set[tuple]] = {}
         self._lock = threading.Lock()
         self.stats = CacheStats()
 
@@ -119,56 +152,83 @@ class ReadThroughCache:
     def view_key(entity: str, record_id: int, user: str, level: int) -> tuple:
         return (VIEW, entity, record_id, user, level)
 
-    def lookup(self, key: tuple):
-        """The thawed cached body, or ``None`` on a miss."""
+    def lookup(self, key: tuple, versions: tuple | None = None):
+        """The thawed cached body, or ``None`` on a miss.  A list entry
+        hits only when ``versions`` — the live shards' data versions —
+        are the ones its parts were read at."""
         with self._lock:
             frozen = self._entries.get(key)
-            if frozen is None:
+            if frozen is None or (
+                versions is not None and frozen.versions != versions
+            ):
                 self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
             return frozen.thaw()
 
+    def parts(self, key: tuple) -> dict:
+        """The row parts of the list held under ``key``, by the data
+        version each was read at (empty when none is held)."""
+        with self._lock:
+            frozen = self._entries.get(key)
+        if frozen is None:
+            return {}
+        return dict(zip(frozen.versions, frozen.parts))
+
     def fill(self, key: tuple, frozen: FrozenBody) -> None:
         """Store a freshly read, frozen body under ``key`` (read-through
         fill)."""
         if self.capacity == 0:
             return
-        entity = key[1]
         with self._lock:
-            self._entries[key] = frozen
-            self._entries.move_to_end(key)
-            self._by_entity.setdefault(entity, set()).add(key)
-            while len(self._entries) > self.capacity:
-                evicted, _ = self._entries.popitem(last=False)
-                self._by_entity.get(evicted[1], set()).discard(evicted)
+            entries = self._entries
+            entries[key] = frozen
+            entries.move_to_end(key)
+            if key[0] == VIEW:
+                self._views.setdefault(key[1:3], set()).add(key)
+            while len(entries) > self.capacity:
+                evicted, _ = entries.popitem(last=False)
+                if evicted[0] == VIEW:
+                    self._unindex(evicted)
                 self.stats.evictions += 1
 
+    def _unindex(self, key: tuple) -> None:
+        record = key[1:3]
+        keys = self._views.get(record)
+        if keys is not None:
+            keys.discard(key)
+            if not keys:
+                del self._views[record]
+
+    def invalidate_record(self, entity: str, record_id: int) -> int:
+        """Drop every view of one record, for every user and level; the
+        count dropped."""
+        with self._lock:
+            keys = self._views.pop((entity, record_id), ())
+            for key in keys:
+                del self._entries[key]
+            if keys:
+                self.stats.invalidations += 1
+            return len(keys)
+
     def invalidate_entity(self, entity: str) -> int:
-        """Drop every entry for ``entity``; the count dropped."""
+        """Drop every entry for ``entity``, lists and views; the count
+        dropped."""
         with self._lock:
-            return self._invalidate(entity)
-
-    def invalidate_entities(self, entities) -> int:
-        """Drop every entry for each named entity under one lock pass —
-        the write-batching path invalidates all touched entities at once
-        instead of paying one lock round per write."""
-        with self._lock:
-            return sum(self._invalidate(entity) for entity in set(entities))
-
-    def _invalidate(self, entity: str) -> int:
-        keys = self._by_entity.pop(entity, set())
-        for key in keys:
-            self._entries.pop(key, None)
-        if keys:
-            self.stats.invalidations += 1
-        return len(keys)
+            keys = [key for key in self._entries if key[1] == entity]
+            for key in keys:
+                del self._entries[key]
+                if key[0] == VIEW:
+                    self._unindex(key)
+            if keys:
+                self.stats.invalidations += 1
+            return len(keys)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._by_entity.clear()
+            self._views.clear()
 
     def __len__(self) -> int:
         with self._lock:

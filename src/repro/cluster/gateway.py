@@ -22,9 +22,12 @@ Design in one breath:
   ``max_queue_depth`` the gateway answers **429** immediately instead of
   letting callers pile up on the shard locks, and **503** once closed.
 * **Caching** — reads go through a confidentiality-aware
-  :class:`~repro.cluster.cache.ReadThroughCache`; accepted writes bump a
-  per-entity data version (and drop the entity's entries), so a stale body
-  can never be served after the write was acknowledged.
+  :class:`~repro.cluster.cache.ReadThroughCache`.  Every shard has a data
+  version that each accepted write on it moves; a cached list keeps one
+  row part per shard and re-reads only the shards whose version moved,
+  and an accepted update drops only its own record's cached views.  So
+  a stale body can never be served after the write was acknowledged,
+  and a write retires only what it changed.
 * **Replication** — ``replicas=N`` gives every shard N followers fed by
   the primary's acknowledged op log
   (:class:`~repro.cluster.replication.ReplicaSet`).  Reads are then
@@ -80,7 +83,7 @@ from repro.runtime.http import (
     unprocessable,
 )
 
-from .cache import FrozenBody, LastGoodStore, ReadThroughCache
+from .cache import FrozenBody, FrozenList, LastGoodStore, ReadThroughCache
 from .metrics import GatewayMetrics
 from .replication import ReplicaSet, ReplicationLog
 from .resilience import (
@@ -197,6 +200,16 @@ class ShardedGateway:
         self._pending = 0
         self._pending_lock = threading.Lock()
         self._drained = threading.Condition(self._pending_lock)
+        # Each shard's data version moves on every accepted write applied
+        # there, on both sides of a record migration, and on its restart
+        # or failover.  Versions come from one counter, so no two shards
+        # (nor one shard at two moments) share one, and a tuple of them
+        # also names the shards it covers.
+        self._version_stamps = itertools.count()
+        self._shard_versions = [
+            next(self._version_stamps) for _ in self.shards
+        ]
+        # the entity version only feeds the degraded-read headers
         self._entity_versions: dict[str, int] = {}
         self._version_lock = threading.Lock()
         self._routes: list[GatewayRoute] = []
@@ -726,13 +739,33 @@ class ShardedGateway:
         with self._version_lock:
             return self._entity_versions.get(entity, 0)
 
-    def _bump_entity_version(self, entity: str) -> None:
-        """Write-path invalidation: retire every cached read of ``entity``."""
+    def _shard_changed(self, shard_index: int) -> None:
+        """Move a shard's data version, under its lock and after the
+        change: list parts read from it before stop matching."""
+        self._shard_versions[shard_index] = next(self._version_stamps)
+
+    def _accepted_write(
+        self, shard_index: int, entity: str, record_id: Optional[int] = None
+    ) -> None:
+        """Retire what one accepted write changed, under its home-shard
+        lock and before the acknowledgement: the shard's list parts, and
+        for an update (``record_id``) that record's cached views.  A
+        create drops no view, because a 404 is never cached."""
+        self._shard_changed(shard_index)
         with self._version_lock:
             self._entity_versions[entity] = (
                 self._entity_versions.get(entity, 0) + 1
             )
-        self.cache.invalidate_entity(entity)
+        if record_id is not None:
+            self.cache.invalidate_record(entity, record_id)
+
+    def _replaced(self, shard_index: int) -> None:
+        """A shard restarted or failed over, under its lock: whatever it
+        lost may sit in any cached read, so its list parts retire and
+        every cached entry of its entities is dropped."""
+        self._shard_changed(shard_index)
+        for entity in self.shards[shard_index].store.entity_names:
+            self.cache.invalidate_entity(entity)
 
     # -- resilient shard calls -------------------------------------------
 
@@ -819,6 +852,7 @@ class ShardedGateway:
             restarted = self._shard_factory(shard_index)
             self.shards[shard_index] = restarted
             self.shard_restarts[shard_index] += 1
+            self._replaced(shard_index)
             replica_set = self.replica_sets[shard_index]
             if replica_set is not None:
                 replica_set.rebind(restarted.persistence)
@@ -854,6 +888,7 @@ class ShardedGateway:
             self.shards[shard_index] = promoted
             replica_set.rebind(successor)
             self.shard_restarts[shard_index] += 1
+            self._replaced(shard_index)
             with self._lag_lock:
                 self.failovers += 1
 
@@ -923,7 +958,7 @@ class ShardedGateway:
         return result
 
     def _degraded_read(
-        self, operation: str, entity: str, base_key: tuple,
+        self, operation: str, entity: str, key: tuple,
         exc: ShardUnavailable,
     ) -> Response:
         """Serve the last known good body, explicitly tagged — or 503.
@@ -933,7 +968,7 @@ class ShardedGateway:
         Traceability DQSR survives the outage.
         """
         if self._last_good is not None:
-            remembered = self._last_good.lookup(base_key)
+            remembered = self._last_good.lookup(key)
             if remembered is not None:
                 body, served_version = remembered
                 self.metrics.observe_degraded(operation)
@@ -945,37 +980,37 @@ class ShardedGateway:
         self.metrics.observe_shed(operation)
         return unavailable(str(exc))
 
+    def _keeps_reads(self) -> bool:
+        """Whether the read cache or the last-good store holds bodies."""
+        return self.cache.capacity > 0 or (
+            self._last_good is not None and self._last_good.capacity > 0
+        )
+
     def _keep_read(
-        self, key: Optional[tuple], base_key: tuple, body,
-        shareable: bool, version: int,
+        self, key: tuple, frozen: FrozenBody, version: int,
+        fill: bool = True,
     ) -> None:
-        """Freeze a served read body once and give the same frozen body
-        to the read cache (under ``key``; ``None`` bypasses it) and the
-        last-good store.  Both only ever thaw it, so sharing is safe.
-        An injected cache-fill failure loses only performance, never
-        correctness."""
-        if (
-            key is not None
-            and self.fault_injector is not None
-            and self.fault_injector.cache_fill_fails()
-        ):
-            self.metrics.observe_fault(CACHE_FILL)
-            key = None
-        fill = key is not None and self.cache.capacity > 0
-        remember = self._last_good is not None and self._last_good.capacity > 0
-        if not (fill or remember):
-            return
-        frozen = FrozenBody(body, shareable)
+        """Give one frozen read body to the read cache (unless ``fill``
+        is off) and to the last-good store, both under ``key``.  Both
+        only ever thaw it, so sharing is safe.  An injected cache-fill
+        failure loses only performance, never correctness."""
         if fill:
-            self.cache.fill(key, frozen)
-        if remember:
-            self._last_good.remember(base_key, frozen, version)
+            if (
+                self.fault_injector is not None
+                and self.fault_injector.cache_fill_fails()
+            ):
+                self.metrics.observe_fault(CACHE_FILL)
+            else:
+                self.cache.fill(key, frozen)
+        if self._last_good is not None:
+            self._last_good.remember(key, frozen, version)
 
     # -- operations -------------------------------------------------------
 
     def submit(self, form_name: str, data: dict, user: str) -> Response:
         """Create: allocate a global id, route by hash, run the shard's
-        full DQ write pipeline, invalidate cached reads on acceptance."""
+        full DQ write pipeline, and on acceptance move the shard's data
+        version (a create retires no cached view)."""
         entity = self._entity_of_form(form_name)
         record_id, shard_index = self.router.placement(entity)
 
@@ -986,7 +1021,7 @@ class ShardedGateway:
                 return unprocessable(exc.findings)
             except AuthorizationError as exc:
                 return forbidden(str(exc))
-            self._bump_entity_version(entity)
+            self._accepted_write(shard_index, entity)
             return created({"id": stored.record_id, "shard": shard_index})
 
         def work() -> Response:
@@ -1013,7 +1048,7 @@ class ShardedGateway:
         shard are then grouped into chunks of at most ``write_batch_max``
         and applied through :meth:`WebApp.submit_batch` under a **single**
         shard-lock acquisition (and a single idempotency registration,
-        retry loop and cache invalidation) per chunk.  Chunks run one
+        retry loop and data-version move) per chunk.  Chunks run one
         after another on the caller's thread, and each admitted chunk
         holds one in-flight slot until the batch returns.
 
@@ -1111,8 +1146,8 @@ class ShardedGateway:
             for row, reason in result.unauthorized:
                 outcome[positions[row]] = forbidden(reason)
             if result.accepted:
-                # one invalidation per chunk, not per accepted write
-                self._bump_entity_version(entity)
+                # one version move per chunk, not per accepted write
+                self._accepted_write(shard_index, entity)
             return outcome
 
         try:
@@ -1156,7 +1191,7 @@ class ShardedGateway:
                 return forbidden(str(exc))
             except VersionConflictError as exc:
                 return conflict(str(exc))
-            self._bump_entity_version(entity)
+            self._accepted_write(shard_index, entity, record_id)
             return ok({"id": stored.record_id, "version": stored.version})
 
         def work() -> Response:
@@ -1178,63 +1213,96 @@ class ShardedGateway:
         if self._closed:
             self.metrics.observe_unavailable()
             return unavailable("gateway is closed")
-        base_key = self.cache.list_key(entity, user, self._clearance(user))
-        version = self._entity_version(entity)
-        followers = self._follower_factory is not None
-        if not followers:
-            key = base_key + (version,)
-            start = time.perf_counter()
-            cached = self.cache.lookup(key)
-            if cached is not None:
-                self.metrics.observe(
-                    "list", (), 200, time.perf_counter() - start
-                )
-                return ok(cached)
-
-        def read(app: WebApp, shard_index: int):
-            if followers:
-                return self._follower_list(shard_index, app, entity, user)
-            return app.read(entity, user), 0
-
-        def work() -> Response:
-            body: list[dict] = []
-            shareable = True
-            max_lag = 0
-            try:
-                for shard_index in self.router.all_shards():
-                    rows, lag = self._call_shard(
-                        "list", shard_index,
-                        lambda app, shard_index=shard_index:
-                        read(app, shard_index),
-                    )
-                    body.extend(rows)
-                    shareable = shareable and rows.shareable
-                    max_lag = max(max_lag, lag)
-            except ShardUnavailable as exc:
-                # any shard missing means the gather is incomplete; a
-                # silently partial listing would violate Completeness, so
-                # degrade the WHOLE read (tagged) rather than serve a hole
-                return self._degraded_read("list", entity, base_key, exc)
-            body.sort(key=itemgetter("id"))
-            if not followers:
-                self._keep_read(key, base_key, body, shareable, version)
-                return ok(body)
-            # a record mid-migration can briefly exist on two shards
-            # (adopted by the recipient, retire not yet replayed on a
-            # lagging donor follower) — keep the newest version per id
-            deduped: list[dict] = []
-            for row in body:
-                if deduped and deduped[-1]["id"] == row["id"]:
-                    if row["version"] > deduped[-1]["version"]:
-                        deduped[-1] = row
-                else:
-                    deduped.append(row)
-            self._keep_read(None, base_key, deduped, shareable, version)
-            return replica_read(
-                deduped, lag=max_lag, bound=self.staleness_bound
+        key = self.cache.list_key(entity, user, self._clearance(user))
+        live = self.router.all_shards()
+        if self._follower_factory is not None:
+            return self._dispatch(
+                "list", live,
+                lambda: self._follower_gather(entity, user, key, live),
             )
+        # the shard versions are read before any shard is: a write that
+        # races this list can then only make a part look older than it
+        # is, never newer
+        versions = tuple(map(self._shard_versions.__getitem__, live))
+        start = time.perf_counter()
+        cached = self.cache.lookup(key, versions)
+        if cached is not None:
+            self.metrics.observe("list", (), 200, time.perf_counter() - start)
+            return ok(cached)
+        return self._dispatch(
+            "list", live,
+            lambda: self._gather(entity, user, key, live, versions),
+        )
 
-        return self._dispatch("list", tuple(self.router.all_shards()), work)
+    def _gather(
+        self, entity: str, user: str, key: tuple, live: tuple,
+        versions: tuple,
+    ) -> Response:
+        """A list miss: re-read only the shards whose data version moved
+        since the held entry read them, reuse the other parts, and refill
+        the entry.  A shard that must be read but cannot serve degrades
+        the whole list (tagged): a silently partial listing would violate
+        Completeness.  An unchanged shard that is down is not asked."""
+        version = self._entity_version(entity)
+        held = self.cache.parts(key)
+        parts = []
+
+        def read(app: WebApp):
+            return app.read(entity, user)
+
+        try:
+            for shard_index, shard_version in zip(live, versions):
+                part = held.get(shard_version)
+                if part is None:
+                    part = self._call_shard("list", shard_index, read)
+                parts.append(part)
+        except ShardUnavailable as exc:
+            return self._degraded_read("list", entity, key, exc)
+        if not self._keeps_reads():
+            body = [row for part in parts for row in part]
+            body.sort(key=itemgetter("id"))
+            return ok(body)
+        frozen = FrozenList(versions, tuple(parts))
+        self._keep_read(key, frozen, version)
+        return ok(frozen.thaw())
+
+    def _follower_gather(
+        self, entity: str, user: str, key: tuple, live: tuple
+    ) -> Response:
+        """A list served from every live shard's followers as a 203 that
+        carries the largest lag read; the cache is bypassed."""
+        version = self._entity_version(entity)
+        body: list[dict] = []
+        shareable = True
+        max_lag = 0
+        try:
+            for shard_index in live:
+                rows, lag = self._call_shard(
+                    "list", shard_index,
+                    lambda app, shard_index=shard_index:
+                    self._follower_list(shard_index, app, entity, user),
+                )
+                body.extend(rows)
+                shareable = shareable and rows.shareable
+                max_lag = max(max_lag, lag)
+        except ShardUnavailable as exc:
+            return self._degraded_read("list", entity, key, exc)
+        body.sort(key=itemgetter("id"))
+        # a record mid-migration can briefly exist on two shards
+        # (adopted by the recipient, retire not yet replayed on a
+        # lagging donor follower) — keep the newest version per id
+        deduped: list[dict] = []
+        for row in body:
+            if deduped and deduped[-1]["id"] == row["id"]:
+                if row["version"] > deduped[-1]["version"]:
+                    deduped[-1] = row
+            else:
+                deduped.append(row)
+        if self._last_good is not None and self._last_good.capacity > 0:
+            self._keep_read(
+                key, FrozenBody(deduped, shareable), version, fill=False
+            )
+        return replica_read(deduped, lag=max_lag, bound=self.staleness_bound)
 
     def view(self, entity: str, record_id: int, user: str) -> Response:
         """Single-record read from the record's home shard — cache-assisted
@@ -1243,7 +1311,7 @@ class ShardedGateway:
         if self._closed:
             self.metrics.observe_unavailable()
             return unavailable("gateway is closed")
-        base_key = self.cache.view_key(
+        key = self.cache.view_key(
             entity, record_id, user, self._clearance(user)
         )
         if self._follower_factory is not None:
@@ -1252,8 +1320,6 @@ class ShardedGateway:
                     shard_index, app, entity, record_id, user
                 )
         else:
-            version = self._entity_version(entity)
-            key = base_key + (version,)
             start = time.perf_counter()
             cached = self.cache.lookup(key)
             if cached is not None:
@@ -1261,14 +1327,17 @@ class ShardedGateway:
                     "view", (), 200, time.perf_counter() - start
                 )
                 return ok(cached)
+            version = self._entity_version(entity)
 
             def apply(app: WebApp, shard_index: int) -> Response:
                 response, shareable = self._read_record(
                     app, entity, record_id, user
                 )
-                if response.status == 200:
+                # filled under the record's shard lock, where an update
+                # of the record drops its views: no fill outlives one
+                if response.status == 200 and self._keeps_reads():
                     self._keep_read(
-                        key, base_key, response.body, shareable, version
+                        key, FrozenBody(response.body, shareable), version
                     )
                 return response
 
@@ -1283,7 +1352,7 @@ class ShardedGateway:
                         lambda app, target=target: apply(app, target),
                     )
                 except ShardUnavailable as exc:
-                    return self._degraded_read("view", entity, base_key, exc)
+                    return self._degraded_read("view", entity, key, exc)
                 if response.status != 404:
                     return response
                 # a migration may have moved the record between routing
@@ -1417,6 +1486,7 @@ class ShardedGateway:
             app = self._shard_factory(new_index)
             self.shards.append(app)
             self._shard_locks.append(threading.RLock())
+            self._shard_versions.append(next(self._version_stamps))
             self.shard_restarts.append(0)
             if self._breakers is not None:
                 self._breakers.append(self._new_breaker(new_index))
@@ -1530,6 +1600,10 @@ class ShardedGateway:
                 {"op": "retire", "entity": entity_name, "id": record_id}
             )
             donor_app.commit()
+            # both sides' list parts retire; the record's views stay
+            # true, since its data and metadata moved unchanged
+            self._shard_changed(donor)
+            self._shard_changed(recipient)
             with self._lag_lock:
                 self.migrated += 1
 

@@ -10,7 +10,7 @@ monotone sequence number, and makes them recoverable:
   kept as the benchmark baseline);
 * :class:`FileWALBackend` — an append-only, length-prefixed,
   CRC-checksummed write-ahead log (:mod:`repro.persistence.wal`) plus a
-  periodically compacted JSON snapshot;
+  periodically compacted snapshot, framed and checksummed the same way;
 * :class:`~repro.persistence.sqlite.SQLiteBackend` — the same contract
   over a stdlib ``sqlite3`` database.
 
@@ -40,8 +40,8 @@ from typing import Optional
 from .wal import (
     WALCorruptionError,
     WriteAheadLog,
-    decode_payload,
-    encode_payload,
+    decode_record,
+    encode_record,
 )
 
 
@@ -50,11 +50,15 @@ class RecoveryError(RuntimeError):
 
 
 def decode_snapshot(data: bytes, where: str) -> dict:
-    """A checkpoint's state back from its encoded bytes, or
-    :class:`RecoveryError` naming ``where`` when they do not decode to
-    an object."""
+    """A checkpoint's state back from its bytes, which frame the encoded
+    state like one WAL record (length + CRC32 header,
+    :func:`~repro.persistence.wal.encode_record`).  Raises
+    :class:`RecoveryError` naming ``where`` when the frame is short or
+    fails its CRC, or the payload does not decode to an object; an
+    unframed snapshot, as written before checkpoints were checksummed,
+    reads as a short payload."""
     try:
-        snapshot = decode_payload(data)
+        snapshot = decode_record(data)
     except WALCorruptionError as exc:
         raise RecoveryError(f"snapshot {where} unreadable: {exc}") from exc
     if not isinstance(snapshot, dict):
@@ -153,7 +157,8 @@ class FileWALBackend(PersistenceBackend):
     """WAL file + compacted snapshot in one directory.
 
     Layout: ``wal.log`` (the append-only record log) and
-    ``snapshot.json`` (the last checkpoint, written to a temp file and
+    ``snapshot.json`` (the last checkpoint, framed with a length and
+    CRC32 header like a WAL record, written to a temp file and
     atomically renamed into place).  ``real_fsync`` forwards to the WAL
     (and fsyncs the snapshot) for machines where surviving power loss —
     not just process death — matters.
@@ -218,7 +223,7 @@ class FileWALBackend(PersistenceBackend):
             rows = state.get("records_total", 0)
             temp_path = self.snapshot_path + ".tmp"
             with open(temp_path, "wb") as handle:
-                handle.write(encode_payload(state))
+                handle.write(encode_record(state))
                 handle.flush()
                 if self.wal.real_fsync:
                     os.fsync(handle.fileno())

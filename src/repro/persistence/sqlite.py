@@ -1,7 +1,8 @@
 """A stdlib-``sqlite3`` persistence backend with the same op contract.
 
 The log lives in a ``wal(seq INTEGER PRIMARY KEY, crc, payload)`` table
-and the last checkpoint in a one-row ``snapshot`` table.  Appends buffer
+and the last checkpoint in a one-row ``snapshot`` table, its payload
+framed with a length and CRC32 header like a file WAL record.  Appends buffer
 in memory exactly like :class:`~repro.persistence.backend.FileWALBackend`
 and :meth:`SQLiteBackend.sync` commits them in one transaction, so the
 group-commit acknowledgment semantics are identical.  SQLite's own
@@ -24,7 +25,12 @@ from .backend import (
     RecoveryError,
     decode_snapshot,
 )
-from .wal import WALCorruptionError, decode_payload, encode_payload
+from .wal import (
+    WALCorruptionError,
+    decode_payload,
+    encode_payload,
+    encode_record,
+)
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS wal (
@@ -143,7 +149,7 @@ class SQLiteBackend(PersistenceBackend):
         self.sync()
         with self._lock:
             state = {**state, "last_seq": self._seq}
-            payload = encode_payload(state)
+            payload = encode_record(state)
             conn = self._db()
             conn.execute("BEGIN")
             conn.execute(

@@ -172,6 +172,30 @@ def encode_record(obj) -> bytes:
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
+def decode_record(buffer: bytes):
+    """The value of a buffer holding exactly one :func:`encode_record`
+    record.  Raises :class:`WALCorruptionError` when the buffer is
+    shorter or longer than its header declares, or fails its CRC."""
+    if len(buffer) < HEADER_SIZE:
+        raise WALCorruptionError(
+            f"short payload: {len(buffer)} byte(s), less than the "
+            f"{HEADER_SIZE}-byte header"
+        )
+    length, crc = _HEADER.unpack_from(buffer)
+    payload = buffer[HEADER_SIZE:]
+    if len(payload) != length:
+        raise WALCorruptionError(
+            f"{'short' if len(payload) < length else 'overlong'} payload: "
+            f"the header declares {length} byte(s), {len(payload)} follow"
+        )
+    if zlib.crc32(payload) != crc:
+        raise WALCorruptionError(
+            f"CRC mismatch (stored {crc:#010x}, "
+            f"computed {zlib.crc32(payload):#010x})"
+        )
+    return decode_payload(payload)
+
+
 def decode_records(buffer: bytes) -> tuple[list, int]:
     """Decode every complete record in ``buffer``.
 

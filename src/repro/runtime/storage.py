@@ -150,6 +150,14 @@ class IdAllocator:
             if record_id >= self._next:
                 self._next = record_id + 1
 
+    def reserved_among(self, record_ids: Iterable[int]) -> Optional[int]:
+        """The first of ``record_ids`` already reserved, or ``None``."""
+        with self._lock:
+            for record_id in record_ids:
+                if record_id <= self._watermark or record_id in self._tail:
+                    return record_id
+        return None
+
     def bump_to(self, record_id: int) -> None:
         """Keep the counter ahead of a **replayed** ``allocate``-style id.
 
@@ -964,11 +972,18 @@ class EntityStore:
         single batched update (the ≤10% write-overhead contract of
         ``submit_many``).  ``log=False`` defers WAL logging to the
         caller's :meth:`log_rows`, which folds the stamped metadata into
-        the same combined op.
+        the same combined op.  The chunk is stored whole or not at all:
+        a pinned id that repeats within it, is held, or was reserved
+        before raises ``ValueError`` before anything is touched.
         """
         with self._lock:
             if record_ids is None:
                 record_ids = (None,) * len(rows)
+            else:
+                self._check_free(
+                    [record_id for record_id in record_ids
+                     if record_id is not None]
+                )
             stored_list: list[StoredRecord] = []
             pins: list[bool] = []
             for data, record_id in zip(rows, record_ids):
@@ -976,11 +991,6 @@ class EntityStore:
                 if record_id is None:
                     record_id = self._ids.allocate()
                 else:
-                    if record_id in self._records:
-                        raise ValueError(
-                            f"{self.name}: record id {record_id} "
-                            "already in use"
-                        )
                     self._ids.reserve(record_id)
                 stored = StoredRecord(record_id, dict(data))
                 if stamp is not None:
@@ -1001,6 +1011,21 @@ class EntityStore:
                     ],
                 })
             return stored_list
+
+    def _check_free(self, record_ids: list[int]) -> None:
+        seen: set[int] = set()
+        for record_id in record_ids:
+            if record_id in seen or record_id in self._records:
+                raise ValueError(
+                    f"{self.name}: record id {record_id} already in use"
+                )
+            seen.add(record_id)
+        reserved = self._ids.reserved_among(record_ids)
+        if reserved is not None:
+            raise ValueError(
+                f"{self.name}: record id {reserved} already reserved "
+                "(duplicate task replay?)"
+            )
 
     def log_rows(
         self,
@@ -1203,7 +1228,13 @@ class EntityStore:
                     f"{self.name}: record id {record_id} already in use"
                 )
             if reserve is True:
-                self._ids.reserve(record_id)
+                try:
+                    self._ids.reserve(record_id)
+                except ValueError:
+                    # a migrated record came back to a shard that held
+                    # it before and reserved its id then; the held check
+                    # above is what refuses a replay here
+                    pass
             elif reserve is False:
                 self._ids.bump_to(record_id)
             stored = StoredRecord(record_id, dict(data), version=version)

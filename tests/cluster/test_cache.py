@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.cluster.cache import FrozenBody, LastGoodStore, ReadThroughCache
-from repro.runtime.storage import _values_shareable
+from repro.cluster.cache import (
+    FrozenBody,
+    FrozenList,
+    LastGoodStore,
+    ReadThroughCache,
+)
+from repro.runtime.storage import Rows, _values_shareable
 
 
 def make_cache(capacity=8):
@@ -152,6 +157,99 @@ class TestInvalidationAndEviction:
         cache.fill(cache.list_key("e", "u", 0), frozen([1]))
         cache.clear()
         assert len(cache) == 0
+
+
+class TestListParts:
+    """A list entry keeps one row part per shard, read at a data
+    version; it hits only at exactly those versions."""
+
+    def parts(self):
+        return (
+            Rows([{"id": 3, "t": "c"}, {"id": 1, "t": "a"}]),
+            Rows([{"id": 2, "t": "b"}]),
+        )
+
+    def test_the_merge_is_id_sorted_and_shares_the_parts_rows(self):
+        first, second = self.parts()
+        frozen = FrozenList((7, 9), (first, second))
+        assert frozen.thaw() == [
+            {"id": 1, "t": "a"}, {"id": 2, "t": "b"}, {"id": 3, "t": "c"},
+        ]
+        # the parts are kept as they are, never copied in ...
+        assert frozen.parts[0] is first
+        assert {id(row) for row in frozen._value} == {
+            id(row) for part in (first, second) for row in part
+        }
+        # ... and only copies leave
+        served = frozen.thaw()
+        served[0]["t"] = "poison"
+        assert first[1]["t"] == "a"
+
+    def test_a_part_with_mutable_values_thaws_deep(self):
+        shared = Rows([{"id": 1, "tags": ["a"]}], shareable=False)
+        frozen = FrozenList((1, 2), (shared, Rows([{"id": 2}])))
+        served = frozen.thaw()
+        served[0]["tags"].append("poison")
+        assert frozen.thaw() == [{"id": 1, "tags": ["a"]}, {"id": 2}]
+        assert isinstance(served, list)
+
+    def test_a_list_hits_only_at_the_versions_it_was_read_at(self):
+        cache = make_cache()
+        key = cache.list_key("reviews", "ada", 1)
+        cache.fill(key, FrozenList((7, 9), self.parts()))
+        assert cache.lookup(key, (7, 9)) == [
+            {"id": 1, "t": "a"}, {"id": 2, "t": "b"}, {"id": 3, "t": "c"},
+        ]
+        assert cache.lookup(key, (7, 10)) is None  # one shard moved
+        assert cache.lookup(key, (7,)) is None  # a shard left the ring
+        assert cache.lookup(key, (7, 9, 11)) is None  # a shard joined
+        assert (cache.stats.hits, cache.stats.misses) == (1, 3)
+
+    def test_a_missed_list_still_lends_its_parts_by_version(self):
+        cache = make_cache()
+        key = cache.list_key("reviews", "ada", 1)
+        assert cache.parts(key) == {}
+        first, second = self.parts()
+        cache.fill(key, FrozenList((7, 9), (first, second)))
+        held = cache.parts(key)
+        assert held.keys() == {7, 9}
+        assert held[7] is first and held[9] is second
+        # lending moves neither the counters nor the LRU order
+        assert cache.stats.lookups == 0
+
+
+class TestRecordViews:
+    def test_an_update_drops_every_view_of_its_record_and_no_other(self):
+        cache = make_cache()
+        for record in (1, 2):
+            for user, level in (("ada", 2), ("eve", 0)):
+                cache.fill(
+                    cache.view_key("reviews", record, user, level),
+                    frozen({"id": record}),
+                )
+        cache.fill(cache.view_key("papers", 1, "ada", 2), frozen({"id": 1}))
+        listed = cache.list_key("reviews", "ada", 2)
+        cache.fill(listed, FrozenList((1,), (Rows([{"id": 1}]),)))
+        assert cache.invalidate_record("reviews", 1) == 2
+        assert cache.stats.invalidations == 1
+        assert cache.lookup(cache.view_key("reviews", 1, "ada", 2)) is None
+        for entity, record in (("reviews", 2), ("papers", 1)):
+            key = cache.view_key(entity, record, "ada", 2)
+            assert cache.lookup(key) == {"id": record}
+        assert cache.lookup(listed, (1,)) == [{"id": 1}]
+        assert cache.invalidate_record("reviews", 1) == 0
+        assert cache.stats.invalidations == 1
+
+    def test_evicted_and_entity_dropped_views_leave_no_index(self):
+        cache = make_cache(capacity=2)
+        for record in (1, 2, 3):
+            cache.fill(cache.view_key("e", record, "u", 0), frozen({}))
+        assert set(cache._views) == {("e", 2), ("e", 3)}
+        cache.invalidate_entity("e")
+        assert cache._views == {} and len(cache) == 0
+        cache.fill(cache.view_key("e", 4, "u", 0), frozen({}))
+        cache.clear()
+        assert cache._views == {}
 
 
 class TestWriteRacingFillInvariants:

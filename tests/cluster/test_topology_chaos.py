@@ -194,3 +194,33 @@ def test_memory_backend_kills_without_replication_lose_state():
         pytest.skip("no kill landed on a populated shard for this seed")
     assert not result.ok
     assert any("store audit event" in v for v in result.violations)
+
+
+@pytest.mark.parametrize("kind", ["file", "sqlite"])
+def test_a_record_can_migrate_back_to_a_shard_that_held_it(tmp_path, kind):
+    # scale out, then back in: the new shard's records return to the
+    # donors that reserved their ids when they first stored them, and
+    # the donors' logs (insert, retire, adopt of one id) still recover
+    from repro.persistence import persistence_factory
+
+    form = "Add all data as result of review form"
+    entity = "Add all data as result of review"
+    gateway = ShardedGateway.from_design(
+        easychair.build_design(), shard_count=2, users=easychair.USERS,
+        persistence=persistence_factory(tmp_path, kind=kind),
+    )
+    ids = [
+        gateway.submit(form, easychair.complete_review(), "pc_member_1")
+        .body["id"]
+        for _ in range(12)
+    ]
+    new = gateway.split_shard()
+    moved = gateway.migrated
+    assert moved > 0
+    gateway.merge_shard(new)
+    assert gateway.migrated == 2 * moved
+    for index in (0, 1):
+        gateway.restart_shard(index)
+    listed = gateway.list(entity, "chair")
+    assert [row["id"] for row in listed.body] == ids
+    gateway.close()

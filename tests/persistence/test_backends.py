@@ -7,11 +7,21 @@ replayed ops by the snapshot's sequence number.
 """
 
 import os
+import sqlite3
+from contextlib import closing
 
 import pytest
 
-from repro.persistence import FileWALBackend, RecoveryError
-from repro.persistence.wal import WriteAheadLog, encode_record
+from repro.dq.metadata import Clock
+from repro.persistence import (
+    FileWALBackend,
+    RecoveryError,
+    capture_state,
+    encode_payload,
+    recover_app,
+)
+from repro.persistence.wal import HEADER_SIZE, WriteAheadLog, encode_record
+from repro.runtime.app import WebApp
 
 
 def _drain(backend, ops):
@@ -102,6 +112,89 @@ def test_stats_shape(durable_backend):
     assert stats["appended"] == 1
     assert stats["synced"] == 1
     assert stats["syncs"] == 1
+
+
+# -- checkpoints are framed and checksummed like WAL records -----------------
+
+
+def _checkpoint_bytes(backend) -> bytes:
+    """The stored checkpoint of a closed backend, as raw bytes."""
+    if isinstance(backend, FileWALBackend):
+        with open(backend.snapshot_path, "rb") as handle:
+            return handle.read()
+    with closing(sqlite3.connect(backend.path)) as conn:
+        (payload,) = conn.execute(
+            "SELECT payload FROM snapshot WHERE id = 1"
+        ).fetchone()
+    return bytes(payload)
+
+
+def _rewrite_checkpoint(backend, data: bytes) -> None:
+    if isinstance(backend, FileWALBackend):
+        with open(backend.snapshot_path, "wb") as handle:
+            handle.write(data)
+        return
+    with closing(sqlite3.connect(backend.path)) as conn, conn:
+        conn.execute("UPDATE snapshot SET payload = ? WHERE id = 1", (data,))
+
+
+def _restricted_app(backend) -> WebApp:
+    app = WebApp("checkpoints", clock=Clock(), persistence=backend)
+    app.define_entity("reviews", ("score",))
+    return app
+
+
+def test_a_checkpoint_is_one_framed_record(durable_backend):
+    _drain(durable_backend, [{"op": "insert", "id": 1, "entity": "e"}])
+    state = {"records_total": 1, "entities": {}}
+    durable_backend.checkpoint(state)
+    durable_backend.close()
+    assert _checkpoint_bytes(durable_backend) == encode_record(
+        {**state, "last_seq": 1}
+    )
+
+
+@pytest.mark.parametrize("damage, message", [
+    # the level of both records' shared confidentiality state, 1 -> 0
+    (lambda data: data.replace(b'"states":[[1,', b'"states":[[0,'),
+     "CRC mismatch"),
+    (lambda data: data[:-1], "short payload"),
+    (lambda data: data + b" ", "overlong payload"),
+    (lambda data: data[:HEADER_SIZE - 1], "short payload"),
+    # the unframed layout written before checkpoints were checksummed
+    (lambda data: data[HEADER_SIZE:], "short payload"),
+], ids=["level", "truncated", "trailing", "header", "unframed"])
+def test_a_damaged_checkpoint_is_refused(durable_backend, damage, message):
+    app = _restricted_app(durable_backend)
+    for score in (1, 2):
+        app.store.store("reviews", {"score": score}, "chair", 1, ())
+    app.commit()
+    durable_backend.checkpoint(capture_state(app))
+    durable_backend.close()
+    stored = _checkpoint_bytes(durable_backend)
+    damaged = damage(stored)
+    assert damaged != stored
+    _rewrite_checkpoint(durable_backend, damaged)
+    reopened = durable_backend.reopen()
+    recovered = _restricted_app(reopened)
+    where = getattr(reopened, "snapshot_path", None) or reopened.path
+    with pytest.raises(RecoveryError) as excinfo:
+        recover_app(recovered, reopened)
+    assert f"snapshot {where} unreadable: {message}" in str(excinfo.value)
+    # nothing of the refused checkpoint reached the store
+    assert recovered.store.entity("reviews").readable_rows("outsider", 0) == []
+    reopened.close()
+
+
+def test_the_frame_covers_the_whole_encoded_state(durable_backend):
+    state = {"records_total": 0, "entities": {}, "note": "~"}
+    durable_backend.checkpoint(state)
+    durable_backend.close()
+    stored = _checkpoint_bytes(durable_backend)
+    assert stored[HEADER_SIZE:] == encode_payload({**state, "last_seq": 0})
+    reopened = durable_backend.reopen()
+    assert reopened.recover().snapshot == {**state, "last_seq": 0}
+    reopened.close()
 
 
 # -- file-backend specifics (torn tails are a file concept) -----------------

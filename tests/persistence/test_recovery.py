@@ -12,8 +12,15 @@ import pytest
 
 from repro.casestudy import easychair
 from repro.cluster.loadgen import LoadGenerator
-from repro.persistence import apply_op, capture_state, recover_app
+from repro.dq.metadata import Clock
+from repro.persistence import (
+    FileWALBackend,
+    apply_op,
+    capture_state,
+    recover_app,
+)
 from repro.persistence.backend import MemoryBackend
+from repro.runtime.app import WebApp
 from repro.runtime.dqengine import build_app
 
 
@@ -175,3 +182,50 @@ def test_memory_backend_recovers_nothing(spec):
     assert report.snapshot_records == 0
     assert report.replayed_ops == 0
     assert capture_state(fresh)["records_total"] == 0
+
+
+@pytest.mark.parametrize("held, retired, chunk, message", [
+    ((), (), [5, 5], "already in use"),  # repeated within the chunk
+    ((5,), (), [6, 5], "already in use"),  # held by the store
+    ((), (), [7, None, 7], "already in use"),  # behind an allocated row
+    ((5,), (5,), [6, 5], "already reserved"),  # held once, since retired
+], ids=["repeat", "held", "allocated", "retired"])
+def test_a_refused_chunk_stores_nothing(
+    tmp_path, held, retired, chunk, message
+):
+    def make(backend):
+        app = WebApp("chunks", clock=Clock(), persistence=backend)
+        app.define_entity("e", ("x",))
+        return app
+
+    backend = FileWALBackend(tmp_path / "wal")
+    app = make(backend)
+    entity = app.store.entity("e")
+    for record_id in held:
+        app.store.store_many("e", [{"x": 0}], "u", record_ids=[record_id])
+    for record_id in retired:
+        entity.delete(record_id)
+    app.commit()
+    before = capture_state(app)
+    appended = backend.wal.appended
+    with pytest.raises(ValueError, match=message):
+        app.store.store_many(
+            "e", [{"x": n} for n in range(1, len(chunk) + 1)], "u",
+            record_ids=chunk,
+        )
+    app.commit()
+    # nothing in memory: records, allocator and clock are as they were,
+    # and neither the clearance index nor the spine holds a refused row
+    assert capture_state(app) == before
+    assert entity.readable_rows("u", 0) == [
+        {"id": record_id, "version": 1, "x": 0}
+        for record_id in held if record_id not in retired
+    ]
+    assert entity.find_by("x", 1) == []
+    assert backend.wal.appended == appended
+    backend.kill()
+    reopened = FileWALBackend(tmp_path / "wal")
+    recovered = make(reopened)
+    recover_app(recovered, reopened)
+    assert capture_state(recovered) == before
+    reopened.close()

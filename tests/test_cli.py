@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import io
+import struct
+import zlib
 
 import pytest
 
@@ -342,12 +344,19 @@ class TestBadInput:
         ("corrupt", "snapshot.json unreadable: undecodable payload"),
         ("missing ids", "has no 'ids'"),
         ("row layout", "has no 'fields'"),
+        ("flipped byte", "snapshot.json unreadable: CRC mismatch"),
+        ("truncated", "snapshot.json unreadable: short payload"),
+        ("unframed", "snapshot.json unreadable: short payload"),
     ])
     def test_chaos_refuses_an_unrecoverable_data_dir(
         self, capsys, tmp_path, damage, fragment
     ):
         from repro.casestudy import easychair
-        from repro.persistence import capture_state, encode_payload
+        from repro.persistence import (
+            capture_state,
+            encode_payload,
+            encode_record,
+        )
         from repro.runtime.dqengine import build_app
 
         snapshot = capture_state(build_app(easychair.build_design()))
@@ -361,10 +370,20 @@ class TestBadInput:
                 "records": [[1, {}, {"stored_by": "chair"}, 1]],
                 "allocator": state["allocator"],
             }
-        payload = (
-            b'{"entities": {' if damage == "corrupt"
-            else encode_payload(snapshot)
-        )
+        if damage == "corrupt":
+            # a frame whose checksum matches bytes that do not decode
+            body = b'{"entities": {'
+            payload = struct.pack("<II", len(body), zlib.crc32(body)) + body
+        elif damage == "flipped byte":
+            payload = bytearray(encode_record(snapshot))
+            payload[-2] ^= 0x01
+        elif damage == "truncated":
+            payload = encode_record(snapshot)[:-1]
+        elif damage == "unframed":
+            # the layout a data directory had before snapshots were framed
+            payload = encode_payload(snapshot)
+        else:
+            payload = encode_record(snapshot)
         (tmp_path / "shard-0").mkdir()
         (tmp_path / "shard-0" / "snapshot.json").write_bytes(payload)
         err = self.assert_usage_error(
